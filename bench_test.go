@@ -181,7 +181,7 @@ func BenchmarkPilotStudyBuildAndRun(b *testing.B) {
 
 // BenchmarkPilotParallel measures the sharded study engine at 1, 2, 4,
 // and GOMAXPROCS workers over a 1,000-probe world (build + availability
-// pre-draw + detector sweep + merge per iteration). Output is
+// draws + detector sweep + merge per iteration). Output is
 // byte-identical at every worker count; only the wall clock moves. Run
 // with -benchmem and compare against BENCH_pilot.json.
 func BenchmarkPilotParallel(b *testing.B) {

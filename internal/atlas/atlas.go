@@ -149,37 +149,6 @@ func (p *Platform) Responds(probe *Probe) bool {
 	}
 }
 
-// AvailabilityTable is a pre-drawn availability stream: for each probe
-// ID, the outcomes of its Responds calls in draw order.
-type AvailabilityTable map[int][]bool
-
-// PredrawResponses replays the campaign's whole availability stream
-// serially, in probe-ID order, before any measurement runs. draws tells
-// it how many Responds samples each probe consumes (zero to skip the
-// probe entirely, exactly as a serial campaign would).
-//
-// Because Responds is the platform RNG's only consumer, a table drawn
-// here is byte-identical to the stream an interleaved serial run would
-// have sampled — which is what lets a sharded engine run probes
-// concurrently yet reproduce the serial run's per-experiment totals:
-// every shard replays the same full stream over the same fleet roster
-// and reads off only its own probes' rows.
-func (p *Platform) PredrawResponses(draws func(*Probe) int) AvailabilityTable {
-	table := make(AvailabilityTable, len(p.probes))
-	for _, probe := range p.Probes() {
-		n := draws(probe)
-		if n == 0 {
-			continue
-		}
-		row := make([]bool, n)
-		for i := range row {
-			row[i] = p.Responds(probe)
-		}
-		table[probe.ID] = row
-	}
-	return table
-}
-
 // Client builds the detector transport for a probe: a plain SimClient
 // for Do53 probes, an EncryptedClient for transport-upgraded ones.
 func (p *Platform) Client(probe *Probe) core.Client {

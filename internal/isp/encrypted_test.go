@@ -116,3 +116,53 @@ func TestSegmentEncryptedTerminateSparesResolverSessions(t *testing.T) {
 		t.Errorf("response source = %s, want the resolver's own %s", pkts[0].Src, target)
 	}
 }
+
+// TestDetachCPEUnroutesHome: after DetachCPE the segment no longer
+// delivers to the home's addresses (the resolver's answer falls back to
+// the segment default route and dies in the border loop), HomeOf
+// recomputes the detached home's addressing, and a freshly built CPE
+// attached on the same addresses is reachable again.
+func TestDetachCPEUnroutesHome(t *testing.T) {
+	n := netsim.NewNetwork()
+	isp := Build(testConfig(), netsim.NewRouter("uplink"))
+	seg := isp.AddSegment(nil)
+	isp.AllocHome(seg, false)
+	home := isp.AllocHome(seg, true)
+	if got := seg.HomeOf(home.WANv4, true); got != home {
+		t.Fatalf("HomeOf = %+v, want %+v", got, home)
+	}
+	attach := func() *netsim.Host {
+		cfg := cpe.NewPlain("home-cpe", home.LANPrefix4, home.WANv4, isp.ResolverAddrPort())
+		cfg.LANAddr6 = home.LANPrefix6.Addr().Next()
+		cfg.LANPrefix6 = home.LANPrefix6
+		cfg.WANAddr6 = home.WANv6
+		d := cpe.Build(cfg)
+		isp.AttachCPE(seg, d, home)
+		return d.AttachHost("h", 0)
+	}
+	vb := dnswire.MustPack(dnswire.NewChaosTXTQuery(3, "version.bind"))
+	ask := func(h *netsim.Host, to netip.AddrPort) error {
+		_, err := h.Exchange(n, to, vb, netsim.ExchangeOptions{})
+		return err
+	}
+	v4, v6 := isp.ResolverAddrPort(), netip.AddrPortFrom(isp.ResolverAddr6, 53)
+
+	host := attach()
+	for _, to := range []netip.AddrPort{v4, v6} {
+		if err := ask(host, to); err != nil {
+			t.Fatalf("attached home asking %s: %v", to, err)
+		}
+	}
+	isp.DetachCPE(seg, home)
+	for _, to := range []netip.AddrPort{v4, v6} {
+		if err := ask(host, to); err != netsim.ErrTimeout {
+			t.Errorf("detached home asking %s = %v, want ErrTimeout", to, err)
+		}
+	}
+	host = attach()
+	for _, to := range []netip.AddrPort{v4, v6} {
+		if err := ask(host, to); err != nil {
+			t.Errorf("re-attached home asking %s: %v", to, err)
+		}
+	}
+}

@@ -326,12 +326,24 @@ type HomeAddrs struct {
 func (n *Network) AllocHome(seg *Segment, withV6 bool) HomeAddrs {
 	seg.homes++
 	n.nextHome++
+	return seg.home(seg.homes, withV6)
+}
+
+// HomeOf recomputes the addressing AllocHome handed the segment's home
+// whose WAN address is wanV4, so a home's devices can be built long
+// after its addresses were allocated.
+func (seg *Segment) HomeOf(wanV4 netip.Addr, withV6 bool) HomeAddrs {
+	return seg.home(int(wanV4.As4()[3]), withV6)
+}
+
+// home is the addressing of the segment's n-th home (1-based).
+func (seg *Segment) home(n int, withV6 bool) HomeAddrs {
 	h := HomeAddrs{
-		WANv4:      hostInPrefix4(seg.PrefixV4, 0, seg.homes),
+		WANv4:      hostInPrefix4(seg.PrefixV4, 0, n),
 		LANPrefix4: netip.MustParsePrefix("192.168.1.0/24"),
 	}
 	if withV6 && seg.PrefixV6.IsValid() {
-		h.LANPrefix6 = slice64(seg.PrefixV6, seg.homes)
+		h.LANPrefix6 = slice64(seg.PrefixV6, n)
 		// The CPE's notional WAN v6 is the /64's base address; hosts and
 		// the CPE LAN address are offsets above it.
 		h.WANv6 = h.LANPrefix6.Addr()
@@ -346,6 +358,16 @@ func (n *Network) AttachCPE(seg *Segment, d *cpe.Device, home HomeAddrs) {
 		seg.Router.AddRoute(home.LANPrefix6, d.Router)
 	}
 	d.SetUplink(seg.Router)
+}
+
+// DetachCPE undoes AttachCPE: the segment forgets the home's routes,
+// so traffic to its addresses takes the segment default route again
+// and the segment no longer keeps the CPE reachable.
+func (n *Network) DetachCPE(seg *Segment, home HomeAddrs) {
+	seg.Router.RemoveRoute(netip.PrefixFrom(home.WANv4, 32))
+	if home.LANPrefix6.IsValid() {
+		seg.Router.RemoveRoute(home.LANPrefix6)
+	}
 }
 
 // Segments returns the ISP's segments.

@@ -112,3 +112,67 @@ func TestLPMPrefersLongestAndReplacesDuplicates(t *testing.T) {
 		t.Fatalf("lookup after replace = %v, want c", rt)
 	}
 }
+
+// TestRemoveRouteFallsBackToDefault: removing a subscriber /32 (and
+// /64) sends its traffic back to the segment default route, even when
+// the removed route was the memoized hit, and a re-added route is found
+// again.
+func TestRemoveRouteFallsBackToDefault(t *testing.T) {
+	router := NewRouter("seg")
+	up, cpeA, cpeB := namedDev("border"), namedDev("cpe-a"), namedDev("cpe-b")
+	router.AddDefaultRoute(up)
+	wan := netip.MustParseAddr("33.0.1.7")
+	wan6 := netip.MustParsePrefix("2a00:0:1:107::/64")
+	host6 := netip.MustParseAddr("2a00:0:1:107::2")
+	router.AddRoute(netip.PrefixFrom(wan, 32), cpeA)
+	router.AddRoute(wan6, cpeA)
+
+	next := func(dst netip.Addr) Device {
+		t.Helper()
+		rt := router.lookupRoute(dst)
+		if rt == nil {
+			t.Fatalf("no route to %s", dst)
+		}
+		return rt.Next
+	}
+	// Prime the memo with hits on the routes about to go.
+	if next(wan) != Device(cpeA) || next(host6) != Device(cpeA) {
+		t.Fatal("subscriber routes not installed")
+	}
+
+	router.RemoveRoute(netip.PrefixFrom(wan, 32))
+	router.RemoveRoute(wan6)
+	for _, dst := range []netip.Addr{wan, host6} {
+		if got := next(dst); got != Device(up) {
+			t.Errorf("after removal %s -> %s, want the default route", dst, got.DeviceName())
+		}
+	}
+	// Removing an absent route is a no-op.
+	router.RemoveRoute(netip.MustParsePrefix("10.9.9.9/32"))
+	if got := next(wan); got != Device(up) {
+		t.Errorf("after no-op removal %s -> %s, want the default route", wan, got.DeviceName())
+	}
+
+	router.AddRoute(netip.PrefixFrom(wan, 32), cpeB)
+	router.AddRoute(wan6, cpeB)
+	if next(wan) != Device(cpeB) || next(host6) != Device(cpeB) {
+		t.Error("re-added subscriber routes not found")
+	}
+}
+
+// TestRemoveRouteClearsMemoAtOnce: the lookup memo drops a removed
+// route immediately, so it neither serves the stale hit nor keeps the
+// removed next hop reachable until the router's next lookup.
+func TestRemoveRouteClearsMemoAtOnce(t *testing.T) {
+	router := NewRouter("seg")
+	router.AddDefaultRoute(namedDev("border"))
+	p := netip.MustParsePrefix("33.0.1.7/32")
+	router.AddRoute(p, namedDev("cpe"))
+	router.lookupRoute(p.Addr())
+	router.RemoveRoute(p)
+	for i := range router.cache4.rt {
+		if rt := router.cache4.rt[i]; rt != nil && rt.Prefix == p {
+			t.Fatalf("memo slot %d still holds the removed route", i)
+		}
+	}
+}

@@ -304,6 +304,30 @@ func (r *Router) insertRoute(rt *Route) {
 	r.stale = true
 }
 
+// RemoveRoute deletes the locally inserted forwarding entry for
+// prefix, if any, so lookups fall back to the next-longest match.
+// Entries a shared RoutingCore supplies are not removable: shared
+// routers only ever gain routes. The lookup memo is cleared at once
+// rather than at the next lookup: a cached hit for the removed prefix
+// must never be served, and the memo must not keep the removed route's
+// next hop reachable.
+func (r *Router) RemoveRoute(prefix netip.Prefix) {
+	p := prefix.Masked()
+	table := r.routes4
+	if p.Addr().Is6() {
+		table = r.routes6
+	}
+	if m := table[p.Bits()]; m != nil {
+		delete(m, p)
+		if len(m) == 0 {
+			delete(table, p.Bits())
+		}
+	}
+	r.stale = true
+	r.cache4 = lookupCache{}
+	r.cache6 = lookupCache{}
+}
+
 // AddDefaultRoute installs 0.0.0.0/0 and ::/0 towards next.
 func (r *Router) AddDefaultRoute(next Device) {
 	r.AddRoute(netip.MustParsePrefix("0.0.0.0/0"), next)

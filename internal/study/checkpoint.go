@@ -85,7 +85,7 @@ var ckCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // checkpointFingerprint ties a checkpoint to the exact run shape that
 // wrote it. The RNG "position" needs no field of its own: every stream
-// (world build, seat dealing, availability pre-draw) is replayed from
+// (world build, seat dealing, availability draws) is replayed from
 // the seed on resume, and per-flow fault decisions hash packet content,
 // so the cursor is the only position that exists.
 func checkpointFingerprint(spec Spec, k, workers int) string {

@@ -49,8 +49,8 @@ func resolveLanes(lanes, workers, totalProbes int) int {
 // Determinism contract: every shard builds its own world replica from
 // Spec.Shard(k, K) — the same quotas, seat dealing, and RNG streams as
 // the unsharded build, with only its own probes' homes instantiated —
-// and replays the full platform availability stream before measuring, so
-// no RNG call ever crosses a goroutine. Workers share no mutable state;
+// and its sweep draws the full fleet's platform availability stream in
+// probe-ID order, so no RNG call ever crosses a goroutine. Workers share no mutable state;
 // the only synchronization is the final merge, which reassembles records
 // in probe-ID order. Every table and figure rendered from the merged
 // results is therefore byte-identical at any worker count, and identical

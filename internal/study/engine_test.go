@@ -26,7 +26,7 @@ func renderAll(res *study.Results) string {
 
 // respondedTotals counts per-experiment availability — the Responded
 // sets feed Table 4's "Total" columns and depend on the platform RNG
-// stream, so they prove the pre-draw replays it faithfully.
+// stream, so they prove every shard's sweep replays it faithfully.
 func respondedTotals(res *study.Results) map[study.ExpKey]int {
 	out := make(map[study.ExpKey]int)
 	for _, rec := range res.Records {

@@ -22,7 +22,7 @@ func (r *Results) MetricsSnapshot(includeDiagnostic bool) *Snapshot {
 }
 
 // studyMetrics is the engine's own instrument panel: fleet progress
-// counters (Stable — they derive from the spec and the pre-drawn
+// counters (Stable — they derive from the spec and the seeded
 // availability stream) and per-phase wall-clock gauges (Diagnostic —
 // they measure the host machine, and as max-gauges they record the
 // slowest shard).
@@ -33,9 +33,9 @@ type studyMetrics struct {
 	quarantined  *metrics.Counter // measurements that panicked, contained
 
 	phaseBuildMs   *metrics.Gauge // world construction, slowest shard
-	phasePredrawMs *metrics.Gauge // availability pre-draw, slowest shard
 	phaseMeasureMs *metrics.Gauge // detection sweep, slowest shard
 	throughput     *metrics.Gauge // probes/second, fastest shard
+	homesLive      *metrics.Gauge // peak homes built at once, largest world
 
 	// Streaming-pipeline instruments. All Diagnostic: retention depends
 	// on the pipeline mode and worker count, and checkpoint/resume
@@ -67,9 +67,9 @@ func newStudyMetrics(reg *metrics.Registry) *studyMetrics {
 		unresponsive:   reg.Counter("study.probes_unresponsive", metrics.Stable),
 		quarantined:    reg.Counter("study.quarantined", metrics.Stable),
 		phaseBuildMs:   reg.Gauge("study.phase_build_ms", metrics.Diagnostic),
-		phasePredrawMs: reg.Gauge("study.phase_predraw_ms", metrics.Diagnostic),
 		phaseMeasureMs: reg.Gauge("study.phase_measure_ms", metrics.Diagnostic),
 		throughput:     reg.Gauge("study.shard_probes_per_s", metrics.Diagnostic),
+		homesLive:      reg.Gauge("study.homes_live_peak", metrics.Diagnostic),
 
 		recordsRetained: reg.Gauge("study.records_retained", metrics.Diagnostic),
 		checkpoints:     reg.Counter("study.checkpoints_written", metrics.Diagnostic),
@@ -112,9 +112,9 @@ func (sm *studyMetrics) observeBuild(d time.Duration) {
 	}
 }
 
-func (sm *studyMetrics) observePredraw(d time.Duration) {
+func (sm *studyMetrics) observeHomesLive(n int) {
 	if sm != nil {
-		sm.phasePredrawMs.Observe(d.Milliseconds())
+		sm.homesLive.Observe(int64(n))
 	}
 }
 

@@ -92,6 +92,10 @@ func Run(w *World) *Results {
 	return &Results{World: w, Records: runRecords(w), Metrics: w.Metrics}
 }
 
+// maxAvailabilityDraws bounds availabilityDraws: one sample per
+// operator in each of the two families.
+const maxAvailabilityDraws = 8
+
 // availabilityDraws is how many Responds samples one probe consumes in
 // the campaign: one per v4 experiment, plus one per v6 experiment when
 // the probe has routed IPv6. Dead probes are skipped before sampling.
@@ -106,11 +110,8 @@ func availabilityDraws(probe *atlas.Probe) int {
 	return n
 }
 
-// runRecords pre-draws the availability stream for the whole fleet, then
-// runs the detector from every responding probe the world instantiated.
-// In a shard-filtered world the stream still covers every probe (stubs
-// included), so the Responded outcomes match the unsharded build; only
-// the shard's own probes produce records.
+// runRecords runs the detector from every responding probe the world
+// owns and collects the records.
 func runRecords(w *World) []*ProbeRecord {
 	var records []*ProbeRecord
 	streamRecords(w, 0, func(rec *ProbeRecord) bool {
@@ -128,25 +129,41 @@ func runRecords(w *World) []*ProbeRecord {
 // return from yield stops the sweep (used to simulate crashes in
 // checkpoint tests).
 //
+// The sweep walks the whole fleet in probe-ID order and draws every
+// probe's availability samples from the platform stream as it passes —
+// foreign stubs and skipped probes included — so each owned probe sees
+// exactly the outcomes the serial campaign drew for it, in any shard or
+// lane.
+//
+// In a planned-only world (the streamed pipeline's) a probe's home is
+// built from its plan just before measurement and detached before the
+// record is yielded, so the world holds at most one home at a time;
+// dead, offline and skipped probes never get one. An eagerly built
+// world already holds every home and keeps them.
+//
 // skip suppresses the first skip records the world would produce — a
 // resumed shard's already-checkpointed prefix. Skipped probes are not
 // measured, not yielded, and not counted in the engine's Stable
 // counters (the checkpoint's restored registry already carries their
 // contribution). Skipping is deterministic because a probe's
 // measurement outcome never depends on the measurements before it: the
-// availability stream is pre-drawn, fault decisions hash packet
-// content, and resolver cache warmth only moves Diagnostic RTTs.
+// availability draws do not depend on measurement, fault decisions
+// hash packet content, and resolver cache warmth only moves Diagnostic
+// RTTs.
 func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 	sm := w.studyMetrics
-	predrawStart := time.Now()
-	table := w.Platform.PredrawResponses(availabilityDraws)
-	sm.observePredraw(time.Since(predrawStart))
 	measureStart := time.Now()
-	produced := 0
+	var draws [maxAvailabilityDraws]bool
+	produced, owned := 0, 0
 	for _, probe := range w.Platform.Probes() {
-		if probe.Host == nil && w.Spec.partitioned() {
+		for i, n := 0, availabilityDraws(probe); i < n; i++ {
+			draws[i] = w.Platform.Responds(probe)
+		}
+		if !w.Spec.owns(probe.ID) {
 			continue // foreign stub: its own shard or lane records it
 		}
+		home := w.homes[owned]
+		owned++
 		if produced < skip {
 			produced++
 			continue // checkpointed prefix: already folded and counted
@@ -161,9 +178,8 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 			}
 			continue
 		}
-		// Per-experiment availability, replayed in the serial draw order:
-		// v4 then (if routed) v6, per operator.
-		draws := table[probe.ID]
+		// Per-experiment availability in the serial draw order: v4 then
+		// (if routed) v6, per operator.
 		online := false
 		j := 0
 		for _, id := range publicdns.All {
@@ -187,7 +203,14 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 			}
 			continue
 		}
+		justInTime := probe.Host == nil
+		if justInTime {
+			w.openHome(probe, home)
+		}
 		rec.Report, rec.Err = measure(w, probe)
+		if justInTime {
+			w.closeHome(probe, home)
+		}
 		sm.noteMeasured(rec.Err != "")
 		if !yield(rec) {
 			return

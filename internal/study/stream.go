@@ -352,7 +352,8 @@ func runStreamShard(tpl *WorldTemplate, spec Spec, k, workers int, opts StreamOp
 		}
 	}
 
-	world := tpl.Build(spec.Shard(k, workers))
+	// Planned only: streamRecords builds each home just in time.
+	world := tpl.buildPlanned(spec.Shard(k, workers))
 	reg = world.Metrics
 	if restored != nil {
 		reg.AddSnapshot(restored)
@@ -576,7 +577,7 @@ func runStreamShardLanes(tpl *WorldTemplate, spec Spec, k, workers, lanes int, o
 					lf.err = fmt.Errorf("lane %d/%d panicked: %v", l, lanes, r)
 				}
 			}()
-			world := tpl.Build(laneSpec)
+			world := tpl.buildPlanned(laneSpec)
 			lf.reg = world.Metrics
 			streamRecords(world, lf.skip, func(rec *ProbeRecord) bool {
 				select {

@@ -2,13 +2,17 @@ package study_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 
 	"github.com/dnswatch/dnsloc/internal/analysis"
+	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
 
@@ -75,6 +79,74 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 		}
 		if res.Folded == 0 {
 			t.Errorf("workers=%d: folded no records", workers)
+		}
+	}
+}
+
+// rowSink collects every appended export's JSON encoding by probe ID;
+// one map serves all of a run's shard sinks.
+type rowSink struct {
+	mu   *sync.Mutex
+	rows map[int]string
+}
+
+func (s rowSink) Append(e study.ProbeExport) error {
+	blob, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.rows[e.ProbeID] = string(blob)
+	s.mu.Unlock()
+	return nil
+}
+
+func (s rowSink) Close() error { return nil }
+
+// TestStreamedMatchesInMemoryHostile: the streamed pipeline builds each
+// home just in time and detaches it after measuring, the in-memory one
+// builds every home up front; under faults, retries, the top adversary
+// rung, the cert and drift signals, and terminated opportunistic DoT,
+// both must still produce the same per-probe rows, tables and Stable
+// metrics.
+func TestStreamedMatchesInMemoryHostile(t *testing.T) {
+	spec := adversarySpec(4, true)
+	spec.DriftRounds = 2
+	spec.Encryption = &study.Encryption{
+		Adoption:  0.5,
+		Transport: core.TransportDoTOpportunistic,
+		Policy:    dnsserver.EncTerminate,
+	}
+	mem := study.RunSharded(spec, study.EngineOptions{Workers: 1, Lanes: 1})
+	want := renderInMemory(t, mem)
+	wantRows := make(map[int]string)
+	for _, e := range mem.Export() {
+		blob, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRows[e.ProbeID] = string(blob)
+	}
+
+	for _, grid := range [][2]int{{2, 1}, {2, 2}} {
+		got := rowSink{mu: new(sync.Mutex), rows: make(map[int]string)}
+		opts := streamOpts(grid[0])
+		opts.Lanes = grid[1]
+		opts.NewSink = func(int, int, int) (study.RecordSink, error) { return got, nil }
+		res, err := study.RunStreamed(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := renderStream(t, res); out != want {
+			t.Errorf("%dx%d: streamed tables or Stable metrics diverge from the in-memory run", grid[0], grid[1])
+		}
+		if len(got.rows) != len(wantRows) {
+			t.Fatalf("%dx%d: %d streamed rows, in-memory has %d", grid[0], grid[1], len(got.rows), len(wantRows))
+		}
+		for id, row := range wantRows {
+			if got.rows[id] != row {
+				t.Fatalf("%dx%d: probe %d diverges\nin-memory: %s\nstreamed:  %s", grid[0], grid[1], id, row, got.rows[id])
+			}
 		}
 	}
 }

@@ -38,7 +38,7 @@ type WorldTemplate struct {
 	// plans is the frozen population plan: per org, the segment layout,
 	// seat placement, and every Seed+1 RNG draw the serial build would
 	// make, in order. Worlds replay it instead of drawing, which is what
-	// makes the per-org parallel population below deterministic.
+	// makes the per-org parallel home build deterministic.
 	plans []orgPlan
 
 	// cores shares the backbone core and regional transit routers'
@@ -53,11 +53,11 @@ type WorldTemplate struct {
 	// concurrently can all hit one cache.
 	chaosCache *dnsserver.PackedAnswerCache
 
-	// BuildWorkers caps the goroutines one Build uses to populate orgs
-	// in parallel; <= 0 means GOMAXPROCS. The sharded engines set it to
-	// GOMAXPROCS/workers so concurrent shard builds do not oversubscribe
-	// the machine. Set before the first Build; the template is read-only
-	// during builds.
+	// BuildWorkers caps the goroutines one Build uses to build orgs'
+	// homes in parallel; <= 0 means GOMAXPROCS. The sharded engines set
+	// it to GOMAXPROCS/workers so concurrent shard builds do not
+	// oversubscribe the machine. Set before the first Build; the
+	// template is read-only during builds.
 	BuildWorkers int
 }
 
@@ -81,13 +81,30 @@ func NewWorldTemplate(spec Spec) *WorldTemplate {
 	}
 }
 
-// Build constructs one world over the template. The spec must agree
-// with the template's on everything except the shard window — in
-// practice it is the template's spec or a Shard() of it. The template
-// is only ever read, so concurrent Builds are safe.
+// Build constructs one world over the template, with every owned
+// probe's home built up front: the in-memory paths hand out records
+// whose Probe.Host stays live for follow-up measurements (the TTL
+// extension). The spec must agree with the template's on everything
+// except the shard window — in practice it is the template's spec or a
+// Shard() of it. The template is only ever read, so concurrent Builds
+// are safe.
 func (t *WorldTemplate) Build(spec Spec) *World {
 	buildStart := time.Now()
-	// The first Build is the routing-core recorder; concurrent Builds
+	w := t.buildPlanned(spec)
+	w.buildHomes(t.buildWorkers())
+	w.studyMetrics.observeBuild(time.Since(buildStart))
+	return w
+}
+
+// buildPlanned is the planned step of a world build: the backbone, the
+// ISPs with their segments, the transit interceptors, and the platform
+// roster with addresses and ground truth — everything but the homes.
+// The streamed pipeline runs only this step and builds each home when
+// its sweep reaches the probe (streamRecords), so a world holds one
+// home at a time instead of one per owned probe.
+func (t *WorldTemplate) buildPlanned(spec Spec) *World {
+	buildStart := time.Now()
+	// The first build is the routing-core recorder; concurrent builds
 	// wait inside Begin until it seals (just after the shared routers'
 	// topology is complete, below) and then bind against the sealed
 	// cores. The deferred Abandon only acts if a recorder panics before
@@ -125,10 +142,12 @@ func (t *WorldTemplate) Build(spec Spec) *World {
 	w.buildISPs(t.orgs, t.plans)
 	w.buildTransitInterceptors()
 	// Every route the shared routers will ever carry is installed by
-	// now — home population below only touches segment and CPE routers —
-	// so the recorder can seal and release any waiting builds.
+	// now — population below only touches segment and CPE routers — so
+	// the recorder can seal and release any waiting builds.
 	t.cores.Seal()
-	w.populatePlans(t.plans, t.buildWorkers())
+	w.planPopulation(t.plans)
+	// An eager Build observes again once the homes are up; the max
+	// gauge keeps the full figure.
 	w.studyMetrics.observeBuild(time.Since(buildStart))
 	return w
 }

@@ -62,6 +62,16 @@ type World struct {
 	// Spec.Adversary > 0 (see adversary.go). Per world: the L4 budget
 	// map is mutable measurement state.
 	advByRegion map[publicdns.Region]*dnsserver.Adversary
+
+	// homes is the home plan of every probe this world owns, in
+	// probe-ID order. An eagerly built world (Build) holds every owned
+	// home from the start; a planned-only one (the streamed pipeline)
+	// builds each home just before measuring it and detaches it right
+	// after (streamRecords). homesLive counts the homes built and not
+	// yet detached; homesBuilt counts every home ever built.
+	homes      []homePlan
+	homesLive  int
+	homesBuilt int
 }
 
 // ispResolverPersonas rotate across ISPs for variety in intercepted
@@ -585,105 +595,173 @@ func planOrg(spec Spec, org geo.Org, probes int, seats []*seat, rng *rand.Rand) 
 	return p
 }
 
-// transitEntry is one transit seat's DNAT match entry, collected
-// during parallel population and installed serially afterwards.
-type transitEntry struct {
-	region publicdns.Region
-	addr   netip.Addr
-	pat    Pattern
+// homePlan is what the home step needs beyond an owned probe's roster
+// entry: its plan entry (the seat) and the segment it lives on. The
+// rest of the home's configuration is derived when it is built, so a
+// planned world holds no per-home device state.
+type homePlan struct {
+	pp  *plannedProbe
+	seg *isp.Segment
 }
 
-// orgPopulation is one org's population output: the platform roster
-// entries and transit seat patterns it contributes to shared state,
-// applied serially after the parallel phase.
-type orgPopulation struct {
-	probes  []*atlas.Probe
-	transit []transitEntry
+// planPopulation is the planned step of population: it lays out every
+// org's segments and registers the whole fleet on the platform roster,
+// with addresses, availability and ground truth replayed from the
+// frozen plans. No home device is built here; each owned probe gets a
+// homePlan for the home step instead.
+//
+// A shard- or lane-filtered world registers foreign probes as
+// metadata-only stubs: the roster, the availability stream and the
+// address allocators stay aligned with the unsharded build, but the
+// stubs never get a home or a record — the owning world produces the
+// real one.
+func (w *World) planPopulation(plans []orgPlan) {
+	for i := range plans {
+		plan := &plans[i]
+		network := w.ISPs[plan.org.ASN]
+		segs := make([]*isp.Segment, len(plan.segSpecs))
+		for j, s := range plan.segSpecs {
+			var mb *isp.MiddleboxSpec
+			if s != nil {
+				mb = w.middleboxSpec(s)
+			}
+			segs[j] = network.AddSegment(mb)
+		}
+		for j := range plan.probes {
+			pp := &plan.probes[j]
+			id := plan.startID + j
+			seg := segs[pp.segIndex]
+			// Every probe consumes a home allocation, stub or not:
+			// AllocHome is pure address arithmetic, and burning it
+			// unconditionally keeps WAN addresses identical to the
+			// unsharded build. The fault plane hashes client addresses
+			// into its drop decisions, so an address that moved with the
+			// shard layout would break byte-identical faulted runs.
+			home := network.AllocHome(seg, pp.hasV6)
+			// Transport adoption is a pure (seed, ID) hash, so stub and
+			// owned entries of the same probe agree on it across shards
+			// and lanes.
+			enc := core.TransportDo53
+			if w.Spec.adopts(id) {
+				enc = w.Spec.Encryption.Transport
+			}
+			probe := &atlas.Probe{
+				ID:           id,
+				Country:      plan.org.Country,
+				ASN:          plan.org.ASN,
+				Org:          plan.org.Name,
+				Region:       plan.region,
+				HasIPv6:      pp.hasV6,
+				WANv4:        home.WANv4,
+				Availability: pp.avail,
+				EncTransport: enc,
+			}
+			if w.Spec.owns(id) {
+				probe.Truth = groundTruth(pp.seat, network)
+				w.homes = append(w.homes, homePlan{pp: pp, seg: seg})
+				if s := pp.seat; s != nil && s.Loc == LocTransit {
+					w.transitSeatPatterns[plan.region][home.WANv4] = s.PatternV4
+				}
+			}
+			w.Platform.Add(probe)
+		}
+	}
 }
 
-// populatePlans builds every org's probes, fanning orgs out over
-// workers goroutines. Everything an org touches during population is
-// org-local (its ISP network, its segments, its CPE devices) or
-// collected into the returned orgPopulation; the shared platform
-// roster and transit pattern tables are filled in serially below, in
-// org order, so the built world is identical to a serial build's.
-func (w *World) populatePlans(plans []orgPlan, workers int) {
-	results := make([]orgPopulation, len(plans))
-	if workers > len(plans) {
-		workers = len(plans)
+// ownedProbes lists the roster entries the world owns, in probe-ID
+// order — the order of w.homes.
+func (w *World) ownedProbes() []*atlas.Probe {
+	owned := make([]*atlas.Probe, 0, len(w.homes))
+	for _, p := range w.Platform.Probes() {
+		if w.Spec.owns(p.ID) {
+			owned = append(owned, p)
+		}
+	}
+	return owned
+}
+
+// buildHomes is the eager home step: it builds every owned probe's
+// home up front, fanning orgs out over workers goroutines. A home
+// touches only its own devices and its org's segment router, so orgs
+// build concurrently and the world matches a serial build.
+func (w *World) buildHomes(workers int) {
+	owned := w.ownedProbes()
+	// ends[r] closes the r-th org's run of owned probes: an org's
+	// probe IDs are contiguous, so its owned probes are too.
+	var ends []int
+	for i, p := range owned {
+		if i+1 == len(owned) || owned[i+1].ASN != p.ASN {
+			ends = append(ends, i+1)
+		}
+	}
+	parallelFor(len(ends), workers, func(r int) {
+		start := 0
+		if r > 0 {
+			start = ends[r-1]
+		}
+		for i := start; i < ends[r]; i++ {
+			w.buildHome(owned[i], w.homes[i])
+		}
+	})
+	w.homesLive += len(owned)
+	w.homesBuilt += len(owned)
+	w.studyMetrics.observeHomesLive(w.homesLive)
+}
+
+// parallelFor calls fn(0..n-1) from at most workers goroutines. A
+// panic in any call is re-raised on the caller's goroutine, where the
+// engine's per-shard recover quarantines it.
+func parallelFor(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for i := range plans {
-			results[i] = w.populateOrgPlan(&plans[i])
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		panics := make([]any, workers)
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				// A population panic must surface on the Build goroutine,
-				// where the engine's per-shard recover quarantines it.
-				defer func() { panics[wk] = recover() }()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(plans) {
-						return
-					}
-					results[i] = w.populateOrgPlan(&plans[i])
-				}
-			}(wk)
-		}
-		wg.Wait()
-		for _, pv := range panics {
-			if pv != nil {
-				panic(pv)
-			}
-		}
+		return
 	}
-	for i := range results {
-		for _, pr := range results[i].probes {
-			w.Platform.Add(pr)
-		}
-		for _, te := range results[i].transit {
-			w.transitSeatPatterns[te.region][te.addr] = te.pat
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	panics := make([]any, workers)
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func(wk int) {
+			defer wg.Done()
+			defer func() { panics[wk] = recover() }()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}(wk)
+	}
+	wg.Wait()
+	for _, pv := range panics {
+		if pv != nil {
+			panic(pv)
 		}
 	}
 }
 
-// populateOrgPlan replays one org's plan: segments are created in
-// index order, probes in plan order, exactly as the serial build
-// interleaved them.
-func (w *World) populateOrgPlan(plan *orgPlan) orgPopulation {
-	network := w.ISPs[plan.org.ASN]
-	out := orgPopulation{probes: make([]*atlas.Probe, 0, len(plan.probes))}
-	nextSeg := 0
-	var seg *isp.Segment
-	addSeg := func() {
-		var mb *isp.MiddleboxSpec
-		if s := plan.segSpecs[nextSeg]; s != nil {
-			mb = w.middleboxSpec(s)
-		}
-		seg = network.AddSegment(mb)
-		nextSeg++
-	}
-	id := plan.startID
-	for i := range plan.probes {
-		pp := &plan.probes[i]
-		for nextSeg <= pp.segIndex {
-			addSeg()
-		}
-		w.buildProbe(network, seg, plan, pp, id, &out)
-		id++
-	}
-	// Trailing segments no probe landed on (an all-seat org's empty
-	// clean segment) still exist in the serial layout.
-	for nextSeg < len(plan.segSpecs) {
-		addSeg()
-	}
-	return out
+// openHome builds one owned probe's home just before the sweep
+// measures it (planned-only worlds; see streamRecords).
+func (w *World) openHome(probe *atlas.Probe, h homePlan) {
+	w.buildHome(probe, h)
+	w.homesLive++
+	w.homesBuilt++
+	w.studyMetrics.observeHomesLive(w.homesLive)
+}
+
+// closeHome detaches a home openHome built once its probe is measured:
+// the segment forgets its routes and the probe its host, so nothing in
+// the world keeps the CPE, forwarder or host reachable.
+func (w *World) closeHome(probe *atlas.Probe, h homePlan) {
+	w.ISPs[probe.ASN].DetachCPE(h.seg, h.seg.HomeOf(probe.WANv4, probe.HasIPv6))
+	probe.Host = nil
+	w.homesLive--
 }
 
 // middleboxSpec compiles a seat's interception into middlebox rules.
@@ -717,117 +795,70 @@ func (w *World) middleboxSpec(s *seat) *isp.MiddleboxSpec {
 	return mb
 }
 
-// buildProbe creates one home (CPE + probe host) on a segment from
-// its plan entry. A nil planned seat is a clean probe.
-func (w *World) buildProbe(network *isp.Network, seg *isp.Segment, plan *orgPlan, pp *plannedProbe, id int, out *orgPopulation) {
-	org, region, s := plan.org, plan.region, pp.seat
-	hasV6, avail := pp.hasV6, pp.avail
-
-	// Transport adoption is a pure (seed, ID) hash, so stub and real
-	// builds of the same probe agree on it across shards and lanes.
-	enc := core.TransportDo53
-	if w.Spec.adopts(id) {
-		enc = w.Spec.Encryption.Transport
+// groundTruth is the interception a probe's seat installs; a nil seat
+// is a clean probe.
+func groundTruth(s *seat, network *isp.Network) atlas.GroundTruth {
+	truth := atlas.GroundTruth{Location: "none"}
+	if s == nil {
+		return truth
 	}
-
-	// Every probe consumes a home allocation, stub or not: AllocHome is
-	// pure address arithmetic, and burning it unconditionally keeps WAN
-	// addresses identical to the unsharded build. The fault plane hashes
-	// client addresses into its drop decisions, so an address that moved
-	// with the shard layout would break byte-identical faulted runs.
-	home := network.AllocHome(seg, hasV6)
-
-	// A shard-filtered build registers foreign probes as metadata-only
-	// stubs (no home devices, no host): the platform roster, the RNG
-	// streams, and the address allocators stay aligned with the
-	// unsharded build, but none of the expensive home construction
-	// happens. Stub records never leave their shard — the owning shard
-	// produces the real one.
-	if !w.Spec.owns(id) {
-		out.probes = append(out.probes, &atlas.Probe{
-			ID:           id,
-			Country:      org.Country,
-			ASN:          org.ASN,
-			Org:          org.Name,
-			Region:       region,
-			HasIPv6:      hasV6,
-			WANv4:        home.WANv4,
-			Availability: avail,
-			EncTransport: enc,
-		})
-		return
+	truth.Location = string(s.Loc)
+	if !s.v4None {
+		truth.PatternV4 = s.PatternV4.ids()
 	}
-	cfg := cpe.NewPlain(fmt.Sprintf("cpe-%d", id), home.LANPrefix4, home.WANv4, network.ResolverAddrPort())
+	if s.PatternV6 != nil {
+		truth.PatternV6 = s.PatternV6.ids()
+	}
+	switch s.Refuse {
+	case RefuseAll:
+		truth.RefusedV4 = truth.PatternV4
+	case RefuseSubset:
+		truth.RefusedV4 = []publicdns.ID{q9, od}
+	}
+	if s.Loc == LocCPE {
+		truth.Persona = s.Persona
+	} else {
+		truth.Persona = string(network.Resolver.Persona.Version)
+	}
+	return truth
+}
+
+// buildHome creates one owned probe's home (CPE + probe host) on its
+// planned segment and wires the host into the probe.
+func (w *World) buildHome(probe *atlas.Probe, h homePlan) {
+	network := w.ISPs[probe.ASN]
+	home := h.seg.HomeOf(probe.WANv4, probe.HasIPv6)
+	cfg := cpe.NewPlain(fmt.Sprintf("cpe-%d", probe.ID), home.LANPrefix4, home.WANv4, network.ResolverAddrPort())
 	cfg.Metrics = w.fwdMetrics
 	cfg.ChaosCache = w.chaosCache
-	if hasV6 {
+	if probe.HasIPv6 {
 		cfg.LANAddr6 = firstHost6(home.LANPrefix6)
 		cfg.LANPrefix6 = home.LANPrefix6
 		cfg.WANAddr6 = home.WANv6
 	}
-
-	truth := atlas.GroundTruth{Location: "none"}
-	if s != nil {
-		truth.Location = string(s.Loc)
-		if !s.v4None {
-			truth.PatternV4 = s.PatternV4.ids()
+	if s := h.pp.seat; s != nil && s.Loc == LocCPE {
+		cfg.Persona = dnsserver.ChaosPersona{Version: s.Persona}
+		cfg.Adversary = w.adversaryFor(probe.Region)
+		if e := w.Spec.Encryption; e != nil {
+			// Only intercepting CPEs police the encrypted channel;
+			// clean homes' CPEs pass it through untouched.
+			cfg.Encrypted = e.Policy
 		}
-		truth.PatternV6 = s.PatternV6.ids()
-		if s.PatternV6 == nil {
-			truth.PatternV6 = nil
-		}
-		switch s.Refuse {
-		case RefuseAll:
-			truth.RefusedV4 = truth.PatternV4
-		case RefuseSubset:
-			truth.RefusedV4 = []publicdns.ID{q9, od}
-		}
-		if s.Loc == LocCPE {
-			truth.Persona = s.Persona
-			cfg.Persona = dnsserver.ChaosPersona{Version: s.Persona}
-			cfg.Adversary = w.adversaryFor(region)
-			if e := w.Spec.Encryption; e != nil {
-				// Only intercepting CPEs police the encrypted channel;
-				// clean homes' CPEs pass it through untouched.
-				cfg.Encrypted = e.Policy
-			}
-			if s.PatternV4 == nil {
-				cfg.Intercept.AllV4 = true
-			} else {
-				cfg.Intercept.TargetsV4 = s.PatternV4.addrsV4()
-				// Selective DNAT misses the CPE's own address; the
-				// forwarder itself answers there (see homelab).
-				cfg.WANPort53Open = true
-			}
-			if len(s.PatternV6) > 0 && hasV6 {
-				cfg.Intercept.TargetsV6 = s.PatternV6.addrsV6()
-			}
+		if s.PatternV4 == nil {
+			cfg.Intercept.AllV4 = true
 		} else {
-			truth.Persona = string(network.Resolver.Persona.Version)
+			cfg.Intercept.TargetsV4 = s.PatternV4.addrsV4()
+			// Selective DNAT misses the CPE's own address; the
+			// forwarder itself answers there (see homelab).
+			cfg.WANPort53Open = true
+		}
+		if len(s.PatternV6) > 0 && probe.HasIPv6 {
+			cfg.Intercept.TargetsV6 = s.PatternV6.addrsV6()
 		}
 	}
-
 	device := cpe.Build(cfg)
-	network.AttachCPE(seg, device, home)
-	host := device.AttachHost(fmt.Sprintf("probe-%d", id), 0)
-
-	if s != nil && s.Loc == LocTransit {
-		out.transit = append(out.transit, transitEntry{region: region, addr: home.WANv4, pat: s.PatternV4})
-	}
-
-	out.probes = append(out.probes, &atlas.Probe{
-		ID:           id,
-		Country:      org.Country,
-		ASN:          org.ASN,
-		Org:          org.Name,
-		Region:       region,
-		HasIPv6:      hasV6,
-		WANv4:        home.WANv4,
-		Host:         host,
-		Availability: avail,
-		Truth:        truth,
-		EncTransport: enc,
-	})
+	network.AttachCPE(h.seg, device, home)
+	probe.Host = device.AttachHost(fmt.Sprintf("probe-%d", probe.ID), 0)
 }
 
 // firstHost6 returns the ::1 of a /64.
