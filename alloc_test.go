@@ -24,17 +24,27 @@ import (
 // calendar-queue scheduler and the router lookup cache brought the
 // measured steady state to ~23, and the shared routing core kept the
 // merged local+core LPM walk allocation-free (~22 measured), so the
-// budget tightened 57 → 32 → 26 — headroom for toolchain drift without
-// letting the pools, the scheduler fast path, or the core-table merge
-// silently start allocating.
-const simExchangeAllocBudget = 26
+// budget tightened 57 → 32 → 26. Moving packets through netsim by
+// reference (spare slots for locally built packets, one reused
+// ServiceCtx and drain Ctx) and the allocation-lean dnswire.Unpack
+// brought it to ~16: budget 20 — headroom for toolchain drift without
+// letting the pools, the scheduler fast path, the core-table merge or
+// the packet slots silently start allocating.
+const simExchangeAllocBudget = 20
 
 // forwarderCacheHitAllocBudget bounds a CPE-forwarder cache hit, served
 // by copying pre-packed wire bytes into a recycled buffer. Measured
-// steady state is ~18 (was ~19 before the scheduler rework; unchanged
-// by the sync.Map packed-answer cache, whose hit path is a lock-free
-// Load); budget tightened 30 → 24 → 21.
-const forwarderCacheHitAllocBudget = 21
+// steady state was ~18 (unchanged by the sync.Map packed-answer cache,
+// whose hit path is a lock-free Load), and ~9 once packets moved by
+// reference and Unpack stopped regrowing name builders; budget
+// tightened 30 → 24 → 21 → 13.
+const forwarderCacheHitAllocBudget = 13
+
+// wireUnpackAllocBudget bounds decoding one CHAOS TXT response: the
+// message, its question and record arrays, the question name (the
+// answer owner reuses it through the name memo) and the TXT body.
+// Measured 7 (10 before presizing and the stack name buffer).
+const wireUnpackAllocBudget = 8
 
 func TestSimExchangeAllocBudget(t *testing.T) {
 	lab := homelab.New(homelab.Clean)
@@ -54,6 +64,18 @@ func TestSimExchangeAllocBudget(t *testing.T) {
 	})
 	if allocs > simExchangeAllocBudget {
 		t.Errorf("SimExchange allocates %.1f/op, budget %d", allocs, simExchangeAllocBudget)
+	}
+}
+
+func TestWireUnpackAllocBudget(t *testing.T) {
+	wire := dnswire.MustPack(dnswire.NewTXTResponse(dnswire.NewChaosTXTQuery(1, "version.bind"), "dnsmasq-2.85"))
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := dnswire.Unpack(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > wireUnpackAllocBudget {
+		t.Errorf("Unpack allocates %.1f/op, budget %d", allocs, wireUnpackAllocBudget)
 	}
 }
 

@@ -314,27 +314,29 @@ func (d *Detector) stepLocation(r *Report) {
 
 	noteFaults(r, StepLocation, results)
 	d.Metrics.noteStep(StepLocation, results)
-	intercepted := map[publicdns.ID]map[Family]bool{}
-	for _, pr := range results {
-		r.Location = append(r.Location, pr)
-		// Timeouts (and garbled responses) are conservatively not
-		// interception (§3.1); any response that fails validation is.
-		nonStandard := (pr.Outcome == OutcomeAnswer && !pr.Standard) || pr.Outcome == OutcomeError
-		if nonStandard {
-			if intercepted[pr.Resolver] == nil {
-				intercepted[pr.Resolver] = map[Family]bool{}
-			}
-			intercepted[pr.Resolver][pr.Family] = true
-		}
-	}
+	r.Location = results // Run hands every step a fresh report
 	for _, id := range d.resolvers() {
-		if intercepted[id][V4] {
+		if nonStandardFor(results, id, V4) {
 			r.InterceptedV4 = append(r.InterceptedV4, id)
 		}
-		if intercepted[id][V6] {
+		if nonStandardFor(results, id, V6) {
 			r.InterceptedV6 = append(r.InterceptedV6, id)
 		}
 	}
+}
+
+// nonStandardFor reports whether any location result for the operator
+// in the family failed validation. Timeouts (and garbled responses) are
+// conservatively not interception (§3.1); any response that fails
+// validation is.
+func nonStandardFor(results []ProbeResult, id publicdns.ID, f Family) bool {
+	for _, pr := range results {
+		if pr.Resolver == id && pr.Family == f &&
+			((pr.Outcome == OutcomeAnswer && !pr.Standard) || pr.Outcome == OutcomeError) {
+			return true
+		}
+	}
+	return false
 }
 
 // stepCPE decides whether the CPE is the interceptor (§3.2): a

@@ -161,7 +161,7 @@ func TestEncryptedClientStrictRejectsUntrustedCert(t *testing.T) {
 // while the strict profile surfaces the timeout.
 func TestEncryptedClientDowngradeIsSticky(t *testing.T) {
 	w := buildEncWorld(t, true)
-	w.rtr.AddInputFilter(func(pkt netsim.Packet) (bool, string) {
+	w.rtr.AddInputFilter(func(pkt *netsim.Packet) (bool, string) {
 		if pkt.Proto == netsim.TCP && pkt.Dst.Port() == netsim.PortDoT {
 			return true, "middlebox blocks DoT"
 		}

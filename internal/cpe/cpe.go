@@ -192,7 +192,7 @@ func Build(cfg Config) *Device {
 }
 
 // encryptedDNS matches LAN-originated encrypted-DNS stream traffic.
-func (d *Device) encryptedDNS(pkt netsim.Packet) bool {
+func (d *Device) encryptedDNS(pkt *netsim.Packet) bool {
 	cfg := d.Config
 	if pkt.Proto != netsim.TCP {
 		return false
@@ -214,7 +214,7 @@ func (d *Device) installEncrypted() {
 	cfg := d.Config
 	switch cfg.Encrypted {
 	case dnsserver.EncBlock:
-		d.Router.AddInputFilter(func(pkt netsim.Packet) (bool, string) {
+		d.Router.AddInputFilter(func(pkt *netsim.Packet) (bool, string) {
 			if d.encryptedDNS(pkt) {
 				return true, "cpe blocks encrypted DNS"
 			}
@@ -232,7 +232,7 @@ func (d *Device) installEncrypted() {
 		d.Router.BindOn(cfg.LANAddr, netsim.PortDoT, ep)
 		d.Router.NAT.AddDNAT(netsim.DNATRule{
 			Name: "enc-terminate-v4",
-			Match: func(pkt netsim.Packet) bool {
+			Match: func(pkt *netsim.Packet) bool {
 				return d.encryptedDNS(pkt) && !pkt.IsIPv6()
 			},
 			To: netip.AddrPortFrom(cfg.LANAddr, netsim.PortDoT),
@@ -241,7 +241,7 @@ func (d *Device) installEncrypted() {
 			d.Router.BindOn(cfg.LANAddr6, netsim.PortDoT, ep)
 			d.Router.NAT.AddDNAT(netsim.DNATRule{
 				Name: "enc-terminate-v6",
-				Match: func(pkt netsim.Packet) bool {
+				Match: func(pkt *netsim.Packet) bool {
 					return d.encryptedDNS(pkt) && pkt.IsIPv6()
 				},
 				To: netip.AddrPortFrom(cfg.LANAddr6, netsim.PortDoT),
@@ -268,7 +268,7 @@ func (d *Device) installInterception() {
 	if spec.AllV4 || len(spec.TargetsV4) > 0 {
 		d.Router.NAT.AddDNAT(netsim.DNATRule{
 			Name: "xdns-v4",
-			Match: func(pkt netsim.Packet) bool {
+			Match: func(pkt *netsim.Packet) bool {
 				return pkt.Proto == netsim.UDP && pkt.Dst.Port() == 53 &&
 					!pkt.IsIPv6() && lanSrc(pkt.Src.Addr()) &&
 					spec.matchesV4(pkt.Dst.Addr())
@@ -280,7 +280,7 @@ func (d *Device) installInterception() {
 	if (spec.AllV6 || len(spec.TargetsV6) > 0) && cfg.LANAddr6.IsValid() {
 		d.Router.NAT.AddDNAT(netsim.DNATRule{
 			Name: "xdns-v6",
-			Match: func(pkt netsim.Packet) bool {
+			Match: func(pkt *netsim.Packet) bool {
 				return pkt.Proto == netsim.UDP && pkt.Dst.Port() == 53 &&
 					pkt.IsIPv6() && lanSrc(pkt.Src.Addr()) &&
 					spec.matchesV6(pkt.Dst.Addr())

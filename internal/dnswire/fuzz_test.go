@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -88,6 +89,41 @@ func FuzzUnpackName(f *testing.F) {
 		}
 		if len(name) > 4*maxNameWire {
 			t.Fatalf("decoded name absurdly long: %d", len(name))
+		}
+	})
+}
+
+// FuzzUnpackDifferential compares the decoder against the reference in
+// reference_test.go: on any input both return reflect.DeepEqual
+// messages or both return the same error, and the name decoders agree
+// at every offset. It guards the presized sections and the owner-name
+// memo, whose whole point is to change allocation without changing a
+// single result.
+func FuzzUnpackDifferential(f *testing.F) {
+	for _, s := range seedMessages() {
+		f.Add(s)
+	}
+	// An owner reached through 127 pointers, then an owner pointing at
+	// it: the memo's pointer-budget edge.
+	chain, last := pointerChain(127)
+	f.Add(append([]byte{0, 1, 0x81, 0x80, 0, 0, 0, 0, 0, 0, 0, 0}, chain...))
+	f.Add(append(append([]byte(nil), chain...), 0xC0|byte(last>>8), byte(last)))
+	f.Add([]byte{0, 1, 0x81, 0x80, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Unpack(data)
+		want, refErr := refUnpack(data)
+		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("Unpack err = %v, reference err = %v", err, refErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Unpack = %+v\nreference = %+v", got, want)
+		}
+		for off := 0; off < len(data); off++ {
+			n, end, err := unpackName(data, off)
+			rn, rend, rerr := refUnpackName(data, off)
+			if n != rn || end != rend || err != rerr {
+				t.Fatalf("unpackName(%d) = (%q, %d, %v), reference = (%q, %d, %v)", off, n, end, err, rn, rend, rerr)
+			}
 		}
 	})
 }

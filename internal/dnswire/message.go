@@ -227,24 +227,42 @@ func packRecord(buf []byte, rr Record, cmp compressionMap, base int) ([]byte, er
 	return buf, nil
 }
 
+// Minimum wire sizes, used to bound Unpack's presizing: a question is
+// at least a root name plus type and class; a record adds TTL and
+// RDLENGTH.
+const (
+	minQuestionWire = 1 + 4
+	minRecordWire   = 1 + 10
+)
+
 // Unpack decodes a wire-format message. It is strict: counted sections
 // must be fully present, and trailing bytes are rejected.
+//
+// Sections are presized from the header counts, capped by what the
+// remaining bytes could hold, so a header that lies about its counts
+// cannot force a large allocation. The three record sections share one
+// backing array, each capped at its own length so appending to one never
+// overwrites the next. Sections with a zero count stay nil.
 func Unpack(msg []byte) (*Message, error) {
-	var m Message
+	m := new(Message)
 	if err := m.Header.unpack(msg); err != nil {
 		return nil, err
 	}
 	off := headerLen
+	var memo nameMemo
 	var err error
+	if n := int(m.Header.QDCount); n > 0 {
+		m.Questions = make([]Question, 0, min(n, (len(msg)-off)/minQuestionWire))
+	}
 	for i := 0; i < int(m.Header.QDCount); i++ {
 		var q Question
-		q, off, err = unpackQuestion(msg, off)
+		q, off, err = unpackQuestion(msg, off, &memo)
 		if err != nil {
 			return nil, fmt.Errorf("question %d: %w", i, err)
 		}
 		m.Questions = append(m.Questions, q)
 	}
-	sections := []struct {
+	sections := [...]struct {
 		count int
 		dst   *[]Record
 		name  string
@@ -253,25 +271,33 @@ func Unpack(msg []byte) (*Message, error) {
 		{int(m.Header.NSCount), &m.Authority, "authority"},
 		{int(m.Header.ARCount), &m.Additional, "additional"},
 	}
+	var records []Record
+	if n := sections[0].count + sections[1].count + sections[2].count; n > 0 {
+		records = make([]Record, 0, min(n, (len(msg)-off)/minRecordWire))
+	}
 	for _, sec := range sections {
+		start := len(records)
 		for i := 0; i < sec.count; i++ {
 			var rr Record
-			rr, off, err = unpackRecord(msg, off)
+			rr, off, err = unpackRecord(msg, off, &memo)
 			if err != nil {
 				return nil, fmt.Errorf("%s record %d: %w", sec.name, i, err)
 			}
-			*sec.dst = append(*sec.dst, rr)
+			records = append(records, rr)
+		}
+		if sec.count > 0 {
+			*sec.dst = records[start:len(records):len(records)]
 		}
 	}
 	if off != len(msg) {
 		return nil, ErrTrailingBytes
 	}
-	return &m, nil
+	return m, nil
 }
 
 // unpackQuestion decodes one question entry starting at off.
-func unpackQuestion(msg []byte, off int) (Question, int, error) {
-	n, off, err := unpackName(msg, off)
+func unpackQuestion(msg []byte, off int, memo *nameMemo) (Question, int, error) {
+	n, off, err := memo.unpack(msg, off)
 	if err != nil {
 		return Question{}, 0, err
 	}
@@ -287,8 +313,8 @@ func unpackQuestion(msg []byte, off int) (Question, int, error) {
 }
 
 // unpackRecord decodes one resource record starting at off.
-func unpackRecord(msg []byte, off int) (Record, int, error) {
-	n, off, err := unpackName(msg, off)
+func unpackRecord(msg []byte, off int, memo *nameMemo) (Record, int, error) {
+	n, off, err := memo.unpack(msg, off)
 	if err != nil {
 		return Record{}, 0, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -410,3 +411,57 @@ const (
 	SigLow  = 2021110100
 	SigHigh = 2031110100
 )
+
+// TestUnpackLyingHeader: counts are sized from the header but capped by
+// the bytes present, so a header claiming 65535 entries in every section
+// neither decodes nor makes Unpack allocate in proportion to the claim.
+func TestUnpackLyingHeader(t *testing.T) {
+	bare := []byte{0, 1, 0x81, 0x80, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+	answersOnly := append([]byte(nil), bare...)
+	answersOnly[4], answersOnly[5] = 0, 0                                // no questions
+	padded := append(append([]byte(nil), bare...), make([]byte, 100)...) // 100 root-name questions' worth of zeros
+	for _, c := range []struct {
+		name string
+		msg  []byte
+	}{{"all counts", bare}, {"answers only", answersOnly}, {"padded", padded}} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Unpack(c.msg); !errors.Is(err, ErrShortMessage) {
+				t.Fatalf("err = %v, want ErrShortMessage", err)
+			}
+			const runs = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				Unpack(c.msg) //nolint:errcheck // only measuring allocation
+			}
+			runtime.ReadMemStats(&after)
+			// The padded message may presize 20 questions (100/5); a
+			// 65535-record presize would be ~2.6 MB per call.
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 2048 {
+				t.Errorf("Unpack allocated %d bytes per call for a %d-byte message", per, len(c.msg))
+			}
+		})
+	}
+}
+
+// TestUnpackSectionsStayApart: the record sections share one backing
+// array, so each must be capped at its own length — appending to one
+// section must never overwrite the next.
+func TestUnpackSectionsStayApart(t *testing.T) {
+	q := NewQuery(9, "example.com", TypeA, ClassINET)
+	m := NewResponse(q, RCodeSuccess)
+	m.Answers = []Record{{Name: "example.com", Class: ClassINET, TTL: 60, Data: ARData{Addr: mustAddr("192.0.2.1")}}}
+	m.Authority = []Record{{Name: "example.com", Class: ClassINET, TTL: 60, Data: NSRData{Host: "ns.example.com"}}}
+	got, err := Unpack(MustPack(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Additional != nil {
+		t.Errorf("empty additional section = %v, want nil", got.Additional)
+	}
+	ns := got.Authority[0]
+	got.Answers = append(got.Answers, Record{Name: "clobber", Class: ClassINET, Data: ARData{Addr: mustAddr("192.0.2.9")}})
+	if !reflect.DeepEqual(got.Authority[0], ns) {
+		t.Errorf("appending an answer overwrote the authority section: %v", got.Authority[0])
+	}
+}

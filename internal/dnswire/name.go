@@ -141,18 +141,34 @@ func packName(buf []byte, n Name, cmp compressionMap, base int) ([]byte, error) 
 	return append(buf, 0), nil
 }
 
+// maxPointers bounds the compression pointers one name decode follows.
+// Backward-only pointers already rule out cycles; the budget also caps
+// the work a long pointer chain can cause.
+const maxPointers = 127
+
 // unpackName decodes a possibly-compressed name starting at off within
 // msg. It returns the name and the offset of the first byte after the
 // name's encoding at its original position (i.e. after the pointer if one
 // was followed).
 func unpackName(msg []byte, off int) (Name, int, error) {
-	var sb strings.Builder
-	seen := 0      // decoded octets, to bound the loop
-	ptrBudget := 0 // pointers followed, to detect loops cheaply
-	end := -1      // resume offset after the first pointer
+	n, end, _, err := decodeName(msg, off)
+	return n, end, err
+}
+
+// decodeName is unpackName that also reports how many compression
+// pointers the decode followed, which nameMemo needs to enforce the
+// pointer budget. The name is assembled in a stack buffer and converted
+// to a string once: the wire limit (255 octets including the root byte)
+// bounds the presentation form at 253 octets.
+func decodeName(msg []byte, off int) (Name, int, int, error) {
+	var buf [maxNameWire]byte
+	n := 0    // presentation octets in buf
+	seen := 0 // wire octets of the labels decoded so far
+	ptrs := 0 // pointers followed, to detect loops cheaply
+	end := -1 // resume offset after the first pointer
 	for {
 		if off >= len(msg) {
-			return "", 0, ErrShortMessage
+			return "", 0, 0, ErrShortMessage
 		}
 		b := msg[off]
 		switch {
@@ -160,10 +176,10 @@ func unpackName(msg []byte, off int) (Name, int, error) {
 			if end < 0 {
 				end = off + 1
 			}
-			return Name(sb.String()), end, nil
+			return Name(buf[:n]), end, ptrs, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
-				return "", 0, ErrShortMessage
+				return "", 0, 0, ErrShortMessage
 			}
 			target := int(b&0x3F)<<8 | int(msg[off+1])
 			if end < 0 {
@@ -171,30 +187,70 @@ func unpackName(msg []byte, off int) (Name, int, error) {
 			}
 			if target >= off {
 				// Forward or self pointers are malformed and would loop.
-				return "", 0, ErrBadPointer
+				return "", 0, 0, ErrBadPointer
 			}
-			ptrBudget++
-			if ptrBudget > 127 {
-				return "", 0, ErrCompressionLoop
+			ptrs++
+			if ptrs > maxPointers {
+				return "", 0, 0, ErrCompressionLoop
 			}
 			off = target
 		case b&0xC0 != 0:
 			// 0x40 and 0x80 label types were never standardized.
-			return "", 0, ErrBadRData
+			return "", 0, 0, ErrBadRData
 		default:
 			l := int(b)
 			if off+1+l > len(msg) {
-				return "", 0, ErrShortMessage
+				return "", 0, 0, ErrShortMessage
 			}
+			// RFC 1035 §3.1: the limit counts the terminal root byte.
 			seen += l + 1
-			if seen > maxNameWire {
-				return "", 0, ErrNameTooLong
+			if seen+1 > maxNameWire {
+				return "", 0, 0, ErrNameTooLong
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if n > 0 {
+				buf[n] = '.'
+				n++
 			}
-			sb.Write(msg[off+1 : off+1+l])
+			n += copy(buf[n:], msg[off+1:off+1+l])
 			off += 1 + l
 		}
 	}
+}
+
+// nameMemoSlots is how many decoded names one message remembers. The
+// names a pointer most often targets are the question name and the
+// first answer owner, both early in the message.
+const nameMemoSlots = 4
+
+// nameMemo lets Unpack share one string between an owner name and the
+// earlier name its single compression pointer targets — the common
+// shape of a response, whose answers point back at the question.
+type nameMemo struct {
+	n    int
+	off  [nameMemoSlots]int
+	name [nameMemoSlots]Name
+	ptrs [nameMemoSlots]int
+}
+
+// unpack decodes the name at off exactly as unpackName does. A name that
+// is a lone pointer to a remembered name reuses that name's string when
+// the decode would succeed: following the pointer replays the
+// remembered decode with one more pointer against the budget and
+// nothing else changed. Every other case runs the full decoder, so the
+// memo rejects exactly what unpackName rejects.
+func (m *nameMemo) unpack(msg []byte, off int) (Name, int, error) {
+	if off+1 < len(msg) && msg[off]&0xC0 == 0xC0 {
+		target := int(msg[off]&0x3F)<<8 | int(msg[off+1])
+		for i := 0; i < m.n; i++ {
+			if m.off[i] == target && target < off && m.ptrs[i] < maxPointers {
+				return m.name[i], off + 2, nil
+			}
+		}
+	}
+	name, end, ptrs, err := decodeName(msg, off)
+	if err == nil && m.n < nameMemoSlots {
+		m.off[m.n], m.name[m.n], m.ptrs[m.n] = off, name, ptrs
+		m.n++
+	}
+	return name, end, err
 }

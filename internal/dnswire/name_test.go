@@ -93,6 +93,12 @@ func TestPackNameRejectsBadNames(t *testing.T) {
 	if _, err := packName(nil, Name(strings.Join(parts, ".")), nil, 0); !errors.Is(err, ErrNameTooLong) {
 		t.Errorf("oversized name: err = %v, want ErrNameTooLong", err)
 	}
+	// One octet past the limit: labels 63/63/63/62 encode to 256 octets
+	// with the root byte (TestUnpackNameMalformed rejects the same name).
+	x := func(n int) string { return strings.Repeat("x", n) }
+	if _, err := packName(nil, Name(x(maxLabel)+"."+x(maxLabel)+"."+x(maxLabel)+"."+x(maxLabel-1)), nil, 0); !errors.Is(err, ErrNameTooLong) {
+		t.Errorf("256-octet name: err = %v, want ErrNameTooLong", err)
+	}
 }
 
 func TestNameRoundTrip(t *testing.T) {
@@ -181,6 +187,9 @@ func TestUnpackNameMalformed(t *testing.T) {
 		{"forward pointer", []byte{0xC0, 0x10, 0}, ErrBadPointer},
 		{"truncated pointer", []byte{0xC0}, ErrShortMessage},
 		{"reserved label type", []byte{0x40, 0}, ErrBadRData},
+		// Labels 63/63/63/62 plus the root byte: 256 wire octets, one
+		// past RFC 1035 §3.1's limit (Pack rejects the same name).
+		{"256-octet name", wireLabels(maxLabel, maxLabel, maxLabel, maxLabel-1), ErrNameTooLong},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -189,6 +198,55 @@ func TestUnpackNameMalformed(t *testing.T) {
 				t.Errorf("err = %v, want %v", err, c.want)
 			}
 		})
+	}
+}
+
+// wireLabels encodes an uncompressed name of the given label lengths.
+func wireLabels(lens ...int) []byte {
+	var buf []byte
+	for _, l := range lens {
+		buf = append(buf, byte(l))
+		buf = append(buf, strings.Repeat("x", l)...)
+	}
+	return append(buf, 0)
+}
+
+// pointerChain returns a buffer holding the name "a" at offset 0 and
+// then n pointers, each to the one before (the first to offset 0), and
+// the offset of the last pointer: decoding from it follows n pointers.
+func pointerChain(n int) ([]byte, int) {
+	buf := []byte{1, 'a', 0}
+	prev := 0
+	for i := 0; i < n; i++ {
+		at := len(buf)
+		buf = append(buf, 0xC0|byte(prev>>8), byte(prev))
+		prev = at
+	}
+	return buf, prev
+}
+
+func TestNameMemoMatchesUnpackName(t *testing.T) {
+	// An owner that points at a remembered name reuses its string only
+	// when the full decode would succeed. The pointer budget is the edge:
+	// a remembered name reached through 126 pointers is one pointer short
+	// of the limit, through 127 it is at the limit and one more fails.
+	for _, n := range []int{0, 1, 126, 127} {
+		buf, last := pointerChain(n)
+		buf = append(buf, 0xC0|byte(last>>8), byte(last))
+		owner := len(buf) - 2
+		var memo nameMemo
+		if _, _, err := memo.unpack(buf, last); err != nil {
+			t.Fatalf("chain %d: %v", n, err)
+		}
+		want, wantEnd, wantErr := unpackName(buf, owner)
+		got, end, err := memo.unpack(buf, owner)
+		if got != want || end != wantEnd || err != wantErr {
+			t.Errorf("chain %d: memo = (%q, %d, %v), unpackName = (%q, %d, %v)",
+				n, got, end, err, want, wantEnd, wantErr)
+		}
+		if (n == 127) != errors.Is(err, ErrCompressionLoop) {
+			t.Errorf("chain %d: err = %v", n, err)
+		}
 	}
 }
 

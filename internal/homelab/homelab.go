@@ -195,7 +195,7 @@ func (l *Lab) installTransitInterceptor() {
 	regional.NAT = netsim.NewNAT()
 	regional.NAT.AddDNAT(netsim.DNATRule{
 		Name: "transit-interceptor",
-		Match: func(pkt netsim.Packet) bool {
+		Match: func(pkt *netsim.Packet) bool {
 			return pkt.Proto == netsim.UDP && pkt.Dst.Port() == 53 &&
 				!pkt.IsIPv6() && pkt.Dst.Addr() != resolverAddr &&
 				// Only subscriber traffic from our lab ISP, so resolver

@@ -127,7 +127,7 @@ func Build(cfg Config, uplink netsim.Device) *Network {
 	n.Border.RouterID = hostInPrefix4(cfg.PrefixV4, 0, 254)
 	// Egress: everything not in the ISP goes upstream, except bogons,
 	// which have no route on the public Internet.
-	n.Border.AddDefaultRouteFiltered(uplink, func(pkt netsim.Packet) (bool, string) {
+	n.Border.AddDefaultRouteFiltered(uplink, func(pkt *netsim.Packet) (bool, string) {
 		if bogon.Is(pkt.Dst.Addr()) {
 			return true, "bogon destination has no route beyond the AS"
 		}
@@ -218,7 +218,7 @@ func (n *Network) AddSegment(mb *MiddleboxSpec) *Segment {
 		}
 		switch mb.Encrypted {
 		case dnsserver.EncBlock:
-			seg.Router.AddInputFilter(func(pkt netsim.Packet) (bool, string) {
+			seg.Router.AddInputFilter(func(pkt *netsim.Packet) (bool, string) {
 				if encryptedDNS(pkt) {
 					return true, "middlebox blocks encrypted DNS"
 				}
@@ -227,7 +227,7 @@ func (n *Network) AddSegment(mb *MiddleboxSpec) *Segment {
 		case dnsserver.EncTerminate:
 			seg.Router.NAT.AddDNAT(netsim.DNATRule{
 				Name: fmt.Sprintf("as%d-seg%d-enc-terminate", n.Config.ASN, seg.Index),
-				Match: func(pkt netsim.Packet) bool {
+				Match: func(pkt *netsim.Packet) bool {
 					return encryptedDNS(pkt) && pkt.Dst.Addr() != n.ResolverAddr
 				},
 				To: netip.AddrPortFrom(n.ResolverAddr, netsim.PortDoT),
@@ -236,7 +236,7 @@ func (n *Network) AddSegment(mb *MiddleboxSpec) *Segment {
 		if mb.InterceptBogons {
 			seg.Router.NAT.AddDNAT(netsim.DNATRule{
 				Name: fmt.Sprintf("as%d-seg%d-bogons", n.Config.ASN, seg.Index),
-				Match: func(pkt netsim.Packet) bool {
+				Match: func(pkt *netsim.Packet) bool {
 					return pkt.Proto == netsim.UDP && pkt.Dst.Port() == 53 &&
 						!pkt.IsIPv6() && bogon.Is(pkt.Dst.Addr())
 				},
@@ -249,7 +249,7 @@ func (n *Network) AddSegment(mb *MiddleboxSpec) *Segment {
 }
 
 // encryptedDNS matches DoT/DoH stream traffic.
-func encryptedDNS(pkt netsim.Packet) bool {
+func encryptedDNS(pkt *netsim.Packet) bool {
 	if pkt.Proto != netsim.TCP {
 		return false
 	}
@@ -274,7 +274,7 @@ func (n *Network) dnatRule(seg *Segment, idx int, rule MiddleboxRule) netsim.DNA
 			panic(fmt.Sprintf("isp: as%d has a v6 middlebox rule but no v6 allocation", n.Config.ASN))
 		}
 	}
-	match := func(pkt netsim.Packet) bool {
+	match := func(pkt *netsim.Packet) bool {
 		if pkt.Proto != netsim.UDP || pkt.Dst.Port() != 53 {
 			return false
 		}

@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -180,7 +178,7 @@ func (f *faultPlane) profileFor(dev Device) *FaultProfile {
 
 // clientOf extracts the flow's client address: the side not speaking
 // from a well-known service port.
-func clientOf(pkt Packet) netip.Addr {
+func clientOf(pkt *Packet) netip.Addr {
 	if pkt.Src.Port() == 53 {
 		return pkt.Dst.Addr()
 	}
@@ -202,7 +200,7 @@ const minClientPort = 28000
 // probes share a world — breaking the byte-identical-at-any-worker-
 // count contract. The client-visible effect is preserved either way:
 // faults land on the access path, where the paper's CPEs live.
-func isClientFlow(pkt Packet) bool {
+func isClientFlow(pkt *Packet) bool {
 	cp := pkt.Src.Port()
 	if cp == 53 {
 		cp = pkt.Dst.Port()
@@ -214,7 +212,7 @@ func isClientFlow(pkt Packet) bool {
 // samples loss. The chain RNG is seeded from (profile seed, device,
 // client), so its stream depends only on the flow's own packet count
 // through this device.
-func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt Packet) bool {
+func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt *Packet) bool {
 	if fp.PGoodBad <= 0 && fp.LossGood <= 0 {
 		return false
 	}
@@ -242,7 +240,7 @@ func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt Packet) bool {
 
 // allowRate charges one token for a query arriving at a rate-limited
 // device and reports whether it may pass.
-func (f *faultPlane) allowRate(dev string, fp *FaultProfile, pkt Packet) bool {
+func (f *faultPlane) allowRate(dev string, fp *FaultProfile, pkt *Packet) bool {
 	if fp.RateBurst <= 0 {
 		return true
 	}
@@ -268,53 +266,75 @@ func (f *faultPlane) allowRate(dev string, fp *FaultProfile, pkt Packet) bool {
 // (fresh ephemeral source port), duplicate copies differ (salt), and
 // the same packet at successive hops differs (TTL), so every decision
 // point gets an independent draw with no cross-flow state.
-func roll(seed int64, dev string, pkt Packet, tag byte) float64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(dev))
-	h.Write([]byte{tag, byte(pkt.TTL), pkt.FaultSalt})
-	writeAddrPort(h, pkt.Src)
-	writeAddrPort(h, pkt.Dst)
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(pkt.Payload)))
-	h.Write(buf[:])
+func roll(seed int64, dev string, pkt *Packet, tag byte) float64 {
+	h := newFNV64a().addUint64(uint64(seed)).addString(dev)
+	h = h.addByte(tag).addByte(byte(pkt.TTL)).addByte(pkt.FaultSalt)
+	h = h.addAddrPort(pkt.Src).addAddrPort(pkt.Dst).addUint64(uint64(len(pkt.Payload)))
 	if len(pkt.Payload) >= 2 {
-		h.Write(pkt.Payload[:2]) // the DNS query ID
+		h = h.addByte(pkt.Payload[0]).addByte(pkt.Payload[1]) // the DNS query ID
 	}
-	return float64(h.Sum64()>>11) / (1 << 53)
+	return float64(uint64(h)>>11) / (1 << 53)
 }
 
 // flowSeed derives a chain seed from (profile seed, device, client).
 func flowSeed(seed int64, dev string, client netip.Addr) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(dev))
-	a := client.As16()
-	h.Write(a[:])
-	return int64(h.Sum64())
+	return int64(newFNV64a().addUint64(uint64(seed)).addString(dev).addAddr(client))
 }
 
-// writeAddrPort hashes an address-port pair.
-func writeAddrPort(h interface{ Write([]byte) (int, error) }, ap netip.AddrPort) {
-	a := ap.Addr().As16()
-	h.Write(a[:])
-	var p [2]byte
-	binary.LittleEndian.PutUint16(p[:], ap.Port())
-	h.Write(p[:])
+// fnv64a is a running 64-bit FNV-1a hash (hash/fnv's New64a) over the
+// little-endian encodings the fault draws and stream tickets hash. It
+// lives in a register rather than behind hash.Hash64, so hashing a
+// packet allocates nothing.
+type fnv64a uint64
+
+const (
+	fnv64Offset = 14695981039346656037
+	fnv64Prime  = 1099511628211
+)
+
+func newFNV64a() fnv64a { return fnv64Offset }
+
+func (h fnv64a) addByte(b byte) fnv64a { return (h ^ fnv64a(b)) * fnv64Prime }
+
+func (h fnv64a) addString(s string) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h = h.addByte(s[i])
+	}
+	return h
+}
+
+// addUint64 hashes v as 8 little-endian octets.
+func (h fnv64a) addUint64(v uint64) fnv64a {
+	for i := 0; i < 8; i++ {
+		h = h.addByte(byte(v >> (8 * i)))
+	}
+	return h
+}
+
+// addAddr hashes the address's 16-octet form (As16).
+func (h fnv64a) addAddr(a netip.Addr) fnv64a {
+	b := a.As16()
+	for _, c := range b {
+		h = h.addByte(c)
+	}
+	return h
+}
+
+// addAddrPort hashes the 16-octet address, then the port little-endian.
+func (h fnv64a) addAddrPort(ap netip.AddrPort) fnv64a {
+	p := ap.Port()
+	return h.addAddr(ap.Addr()).addByte(byte(p)).addByte(byte(p >> 8))
 }
 
 // applyFaults runs the fault plane on one forwarded hop: link faults
 // under the sending device's profile, then rate limiting under the
-// receiving device's. It returns the (possibly rewritten) packet, its
-// delivery time, and false when the packet was consumed. Duplicate
-// copies are enqueued directly.
-func (n *Network) applyFaults(dev, next Device, pkt Packet, at time.Duration) (Packet, time.Duration, bool) {
+// receiving device's. It rewrites *pkt in place and returns its delivery
+// time, and false when the packet was consumed. Duplicate copies are
+// enqueued directly.
+func (n *Network) applyFaults(dev, next Device, pkt *Packet, at time.Duration) (time.Duration, bool) {
 	f := n.faults
 	if !isClientFlow(pkt) {
-		return pkt, at, true
+		return at, true
 	}
 	if fp := f.profileFor(dev); fp != nil && fp.linkActive() {
 		name := dev.DeviceName()
@@ -323,7 +343,7 @@ func (n *Network) applyFaults(dev, next Device, pkt Packet, at time.Duration) (P
 				n.metrics.burstDrops.Inc()
 			}
 			n.trace(dev, TraceDrop, pkt, "fault: burst loss")
-			return pkt, at, false
+			return at, false
 		}
 		if fp.TruncProb > 0 && fp.TruncBytes > 0 && pkt.Src.Port() == 53 &&
 			len(pkt.Payload) > fp.TruncBytes && roll(fp.Seed, name, pkt, tagTrunc) < fp.TruncProb {
@@ -336,15 +356,15 @@ func (n *Network) applyFaults(dev, next Device, pkt Packet, at time.Duration) (P
 			n.trace(dev, TraceFault, pkt, "fault: response truncated")
 		}
 		if fp.DupProb > 0 && roll(fp.Seed, name, pkt, tagDup) < fp.DupProb {
-			dup := pkt
+			dup := *pkt
 			dup.FaultSalt++
 			if n.metrics != nil {
 				n.metrics.dupCopies.Inc()
 			}
 			if n.tracing() {
-				n.trace(dev, TraceFault, dup, "fault: duplicated to "+next.DeviceName())
+				n.trace(dev, TraceFault, &dup, "fault: duplicated to "+next.DeviceName())
 			}
-			n.enqueue(next, dup, at)
+			n.enqueue(next, &dup, at)
 		}
 		if fp.ReorderProb > 0 && fp.ReorderJitter > 0 && roll(fp.Seed, name, pkt, tagReorder) < fp.ReorderProb {
 			extra := time.Duration(roll(fp.Seed, name, pkt, tagJitter) * float64(fp.ReorderJitter))
@@ -369,9 +389,9 @@ func (n *Network) applyFaults(dev, next Device, pkt Packet, at time.Duration) (P
 				if n.tracing() {
 					n.trace(dev, TraceDrop, pkt, "fault: rate limited by "+next.DeviceName())
 				}
-				return pkt, at, false
+				return at, false
 			}
 		}
 	}
-	return pkt, at, true
+	return at, true
 }

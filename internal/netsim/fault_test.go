@@ -1,7 +1,11 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math/rand"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -184,5 +188,95 @@ func TestReorderJitterDelaysDelivery(t *testing.T) {
 	}
 	if r1[0].RTT() <= r0[0].RTT() {
 		t.Errorf("jittered RTT %v not above clean RTT %v", r1[0].RTT(), r0[0].RTT())
+	}
+}
+
+// The hash/fnv formulation roll, flowSeed and StreamTicket used before
+// their hashing moved inline; fault fates and tickets must not move.
+func fnvRoll(seed int64, dev string, pkt *Packet, tag byte) float64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
+	h.Write(buf[:])
+	h.Write([]byte(dev))
+	h.Write([]byte{tag, byte(pkt.TTL), pkt.FaultSalt})
+	for _, ap := range []netip.AddrPort{pkt.Src, pkt.Dst} {
+		a := ap.Addr().As16()
+		h.Write(a[:])
+		var p [2]byte
+		binary.LittleEndian.PutUint16(p[:], ap.Port())
+		h.Write(p[:])
+	}
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(pkt.Payload)))
+	h.Write(buf[:])
+	if len(pkt.Payload) >= 2 {
+		h.Write(pkt.Payload[:2])
+	}
+	return float64(h.Sum64()>>11) / (1 << 53)
+}
+
+func fnvFlowSeed(seed int64, dev string, client netip.Addr) int64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
+	h.Write(buf[:])
+	h.Write([]byte(dev))
+	a := client.As16()
+	h.Write(a[:])
+	return int64(h.Sum64())
+}
+
+func fnvStreamTicket(endpoint, client netip.Addr, salt int64) uint64 {
+	h := fnv.New64a()
+	e, c := endpoint.As16(), client.As16()
+	h.Write(e[:])
+	h.Write(c[:])
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(salt))
+	h.Write(b[:])
+	return h.Sum64()
+}
+
+// randAddrPort draws an IPv4 or IPv6 address-port pair.
+func randAddrPort(r *rand.Rand) netip.AddrPort {
+	var a netip.Addr
+	if r.Intn(2) == 0 {
+		a = netip.AddrFrom4([4]byte{byte(r.Uint32()), byte(r.Uint32()), byte(r.Uint32()), byte(r.Uint32())})
+	} else {
+		var b [16]byte
+		r.Read(b[:]) //nolint:errcheck // math/rand never fails
+		a = netip.AddrFrom16(b)
+	}
+	return netip.AddrPortFrom(a, uint16(r.Uint32()))
+}
+
+func TestFaultHashMatchesHashFNV(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		pkt := &Packet{
+			Src:       randAddrPort(r),
+			Dst:       randAddrPort(r),
+			Proto:     UDP,
+			TTL:       r.Intn(300),
+			FaultSalt: uint8(r.Intn(4)),
+			Payload:   make([]byte, r.Intn(4)*r.Intn(200)),
+		}
+		r.Read(pkt.Payload) //nolint:errcheck // math/rand never fails
+		seed := r.Int63() - r.Int63()
+		dev := strings.Repeat("d", r.Intn(3)) + "cpe-" + string(rune('a'+r.Intn(26)))
+		tag := byte(r.Intn(5))
+		if got, want := roll(seed, dev, pkt, tag), fnvRoll(seed, dev, pkt, tag); got != want {
+			t.Fatalf("roll(%d, %q, %v, %d) = %v, hash/fnv gives %v", seed, dev, pkt, tag, got, want)
+		}
+		if got, want := flowSeed(seed, dev, pkt.Src.Addr()), fnvFlowSeed(seed, dev, pkt.Src.Addr()); got != want {
+			t.Fatalf("flowSeed = %d, hash/fnv gives %d", got, want)
+		}
+		if got, want := StreamTicket(pkt.Dst.Addr(), pkt.Src.Addr(), seed), fnvStreamTicket(pkt.Dst.Addr(), pkt.Src.Addr(), seed); got != want {
+			t.Fatalf("StreamTicket = %d, hash/fnv gives %d", got, want)
+		}
+	}
+	pkt := &Packet{Src: ap("10.0.0.2:50000"), Dst: ap("8.8.8.8:53"), TTL: 60, Payload: []byte{1, 2, 3}}
+	if allocs := testing.AllocsPerRun(100, func() { roll(1, "cpe", pkt, tagDup) }); allocs != 0 {
+		t.Errorf("roll allocates %.1f/op", allocs)
 	}
 }

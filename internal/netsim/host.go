@@ -59,7 +59,7 @@ func (h *Host) EgressDelay() time.Duration { return h.Delay }
 // Receive implements Device: packets addressed to the host land in its
 // per-port inbox with an arrival timestamp; anything else is ignored
 // (hosts do not forward).
-func (h *Host) Receive(ctx *Ctx, pkt Packet) {
+func (h *Host) Receive(ctx *Ctx, pkt *Packet) {
 	if pkt.Dst.Addr() != h.Addr4 && pkt.Dst.Addr() != h.Addr6 {
 		ctx.Drop(pkt, "not for this host")
 		return
@@ -80,15 +80,15 @@ func (h *Host) Receive(ctx *Ctx, pkt Packet) {
 	h.deliver(pkt.Dst.Port(), pkt)
 }
 
-// deliver files a packet in the per-port inbox, reusing a recycled slice
-// for the port's first packet when one is available.
-func (h *Host) deliver(port uint16, pkt Packet) {
+// deliver files a copy of the packet in the per-port inbox, reusing a
+// recycled slice for the port's first packet when one is available.
+func (h *Host) deliver(port uint16, pkt *Packet) {
 	q, ok := h.inbox[port]
 	if !ok && len(h.spare) > 0 {
 		q = h.spare[len(h.spare)-1]
 		h.spare = h.spare[:len(h.spare)-1]
 	}
-	h.inbox[port] = append(q, pkt)
+	h.inbox[port] = append(q, *pkt)
 }
 
 // Recycle returns a response slice obtained from Exchange to the host's

@@ -3,6 +3,7 @@ package netsim
 import (
 	"encoding/binary"
 	"net/netip"
+	"time"
 )
 
 // ICMP Time Exceeded modeling. When enabled on the Network, the router
@@ -13,18 +14,18 @@ import (
 
 // timeExceededPayload encodes the flow identity of the expired packet:
 // original source port, destination port, and destination address.
-func timeExceededPayload(orig Packet) []byte {
-	dst16 := orig.Dst.Addr().As16()
+func timeExceededPayload(srcPort uint16, dst netip.AddrPort) []byte {
+	dst16 := dst.Addr().As16()
 	out := make([]byte, 0, 4+16)
-	out = binary.BigEndian.AppendUint16(out, orig.Src.Port())
-	out = binary.BigEndian.AppendUint16(out, orig.Dst.Port())
+	out = binary.BigEndian.AppendUint16(out, srcPort)
+	out = binary.BigEndian.AppendUint16(out, dst.Port())
 	out = append(out, dst16[:]...)
 	return out
 }
 
 // ParseTimeExceeded decodes an ICMP Time Exceeded packet's embedded flow
 // identity. ok is false for malformed or non-ICMP packets.
-func ParseTimeExceeded(p Packet) (origSrcPort uint16, origDst netip.AddrPort, ok bool) {
+func ParseTimeExceeded(p *Packet) (origSrcPort uint16, origDst netip.AddrPort, ok bool) {
 	if p.Proto != ICMP || len(p.Payload) < 20 {
 		return 0, netip.AddrPort{}, false
 	}
@@ -35,21 +36,24 @@ func ParseTimeExceeded(p Packet) (origSrcPort uint16, origDst netip.AddrPort, ok
 }
 
 // sendTimeExceeded emits the notification from a router back to the
-// expired packet's source. The source address is the router's ID — it
-// does not need to be routable (real backbone routers answer from
-// interface or loopback addresses all the time); only the destination
-// matters for delivery.
-func (r *Router) sendTimeExceeded(ctx *Ctx, orig Packet) {
+// expired packet's source, given the expired packet's source, its
+// destination as the client knows it, and its SentAt. The source
+// address is the router's ID — it does not need to be routable (real
+// backbone routers answer from interface or loopback addresses all the
+// time); only the destination matters for delivery.
+func (r *Router) sendTimeExceeded(ctx *Ctx, src, dst netip.AddrPort, sentAt time.Duration) {
 	if !r.RouterID.IsValid() {
 		return // anonymous router: the hop shows as "*"
 	}
-	icmp := Packet{
+	icmp := ctx.net.takeSpare()
+	*icmp = Packet{
 		Src:     netip.AddrPortFrom(r.RouterID, 0),
-		Dst:     orig.Src,
+		Dst:     src,
 		Proto:   ICMP,
 		TTL:     DefaultTTL,
-		Payload: timeExceededPayload(orig),
-		SentAt:  orig.SentAt,
+		Payload: timeExceededPayload(src.Port(), dst),
+		SentAt:  sentAt,
 	}
 	r.routePacket(ctx, icmp, true)
+	ctx.net.releaseSpare(icmp)
 }

@@ -23,8 +23,8 @@ func refRoute(routes []Route, dst netip.Addr) *Route {
 // namedDev is a throwaway device distinguishable by name.
 type namedDev string
 
-func (d namedDev) DeviceName() string         { return string(d) }
-func (d namedDev) Receive(ctx *Ctx, p Packet) {}
+func (d namedDev) DeviceName() string          { return string(d) }
+func (d namedDev) Receive(ctx *Ctx, p *Packet) {}
 
 // TestPropertyLPMMatchesLinearReference drives the hash-based
 // longest-prefix-match against a linear reference on random tables.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
@@ -10,18 +11,16 @@ func TestSNATAllocatesAndRestores(t *testing.T) {
 	n.MasqueradeV4 = addr("96.120.0.10")
 	n.LANPrefixes = []netip.Prefix{pfx("10.0.0.0/24")}
 
-	out := Packet{Proto: UDP, Src: ap("10.0.0.2:5000"), Dst: ap("8.8.8.8:53")}
-	tr, ok := n.applySNAT(out)
-	if !ok {
+	tr := Packet{Proto: UDP, Src: ap("10.0.0.2:5000"), Dst: ap("8.8.8.8:53")}
+	if !n.applySNAT(&tr) {
 		t.Fatal("SNAT did not fire")
 	}
 	if tr.Src.Addr() != addr("96.120.0.10") {
 		t.Errorf("masqueraded src = %s", tr.Src)
 	}
 
-	reply := Packet{Proto: UDP, Src: ap("8.8.8.8:53"), Dst: tr.Src}
-	back, ok := n.reverseSNAT(reply)
-	if !ok {
+	back := Packet{Proto: UDP, Src: ap("8.8.8.8:53"), Dst: tr.Src}
+	if !n.reverseSNAT(&back) {
 		t.Fatal("reverse SNAT did not fire")
 	}
 	if back.Dst != ap("10.0.0.2:5000") {
@@ -34,8 +33,12 @@ func TestSNATIgnoresNonLANSources(t *testing.T) {
 	n.MasqueradeV4 = addr("96.120.0.10")
 	n.LANPrefixes = []netip.Prefix{pfx("10.0.0.0/24")}
 	out := Packet{Proto: UDP, Src: ap("192.0.2.9:5000"), Dst: ap("8.8.8.8:53")}
-	if _, ok := n.applySNAT(out); ok {
+	p := out
+	if n.applySNAT(&p) {
 		t.Error("SNAT fired for a non-LAN source")
+	}
+	if !reflect.DeepEqual(p, out) {
+		t.Errorf("SNAT rewrote a non-LAN packet: %v", p)
 	}
 }
 
@@ -44,14 +47,15 @@ func TestSNATReusesPortPerFlow(t *testing.T) {
 	n.MasqueradeV4 = addr("96.120.0.10")
 	n.LANPrefixes = []netip.Prefix{pfx("10.0.0.0/24")}
 	out := Packet{Proto: UDP, Src: ap("10.0.0.2:5000"), Dst: ap("8.8.8.8:53")}
-	a, _ := n.applySNAT(out)
-	b, _ := n.applySNAT(out)
+	a, b := out, out
+	n.applySNAT(&a)
+	n.applySNAT(&b)
 	if a.Src != b.Src {
 		t.Errorf("same flow translated to %s and %s", a.Src, b.Src)
 	}
 	// Different source port → different external port.
-	out2 := Packet{Proto: UDP, Src: ap("10.0.0.2:5001"), Dst: ap("8.8.8.8:53")}
-	c, _ := n.applySNAT(out2)
+	c := Packet{Proto: UDP, Src: ap("10.0.0.2:5001"), Dst: ap("8.8.8.8:53")}
+	n.applySNAT(&c)
 	if c.Src == a.Src {
 		t.Error("distinct flows share an external port")
 	}
@@ -77,27 +81,37 @@ func TestDNATConntrackIsolation(t *testing.T) {
 	n := NewNAT()
 	n.AddDNAT(DNATRule{Name: "x", Match: MatchUDPPort53, To: ap("10.0.0.1:53")})
 
-	q1 := Packet{Proto: UDP, Src: ap("192.168.1.2:40000"), Dst: ap("8.8.8.8:53")}
-	q2 := Packet{Proto: UDP, Src: ap("192.168.1.3:40000"), Dst: ap("1.1.1.1:53")}
-	r1, ok1, _ := n.applyDNAT(q1)
-	r2, ok2, _ := n.applyDNAT(q2)
+	r1 := Packet{Proto: UDP, Src: ap("192.168.1.2:40000"), Dst: ap("8.8.8.8:53")}
+	r2 := Packet{Proto: UDP, Src: ap("192.168.1.3:40000"), Dst: ap("1.1.1.1:53")}
+	var replica Packet
+	ok1, _ := n.applyDNAT(&r1, &replica)
+	ok2, _ := n.applyDNAT(&r2, &replica)
 	if !ok1 || !ok2 || r1.Dst != ap("10.0.0.1:53") || r2.Dst != ap("10.0.0.1:53") {
 		t.Fatalf("dnat: %v %v", r1, r2)
+	}
+	if r1.OrigDst != ap("8.8.8.8:53") || r2.OrigDst != ap("1.1.1.1:53") {
+		t.Errorf("orig dst = %s, %s", r1.OrigDst, r2.OrigDst)
+	}
+	if !reflect.DeepEqual(replica, Packet{}) {
+		t.Errorf("non-replicating rule wrote the replica: %v", replica)
 	}
 
 	rep1 := Packet{Proto: UDP, Src: ap("10.0.0.1:53"), Dst: ap("192.168.1.2:40000")}
 	rep2 := Packet{Proto: UDP, Src: ap("10.0.0.1:53"), Dst: ap("192.168.1.3:40000")}
-	b1, ok := n.reverseDNAT(rep1)
-	if !ok || b1.Src != ap("8.8.8.8:53") {
+	b1, b2 := rep1, rep2
+	if ok := n.reverseDNAT(&b1); !ok || b1.Src != ap("8.8.8.8:53") {
 		t.Errorf("reverse 1 = %v,%t", b1, ok)
 	}
-	b2, ok := n.reverseDNAT(rep2)
-	if !ok || b2.Src != ap("1.1.1.1:53") {
+	if ok := n.reverseDNAT(&b2); !ok || b2.Src != ap("1.1.1.1:53") {
 		t.Errorf("reverse 2 = %v,%t", b2, ok)
 	}
-	// Conntrack entries are consumed.
-	if _, ok := n.reverseDNAT(rep1); ok {
+	// Conntrack entries are consumed, and a miss leaves the packet alone.
+	b3 := rep1
+	if n.reverseDNAT(&b3) {
 		t.Error("conntrack entry survived its reply")
+	}
+	if !reflect.DeepEqual(b3, rep1) {
+		t.Errorf("reverse DNAT miss rewrote the packet: %v", b3)
 	}
 }
 
@@ -105,8 +119,12 @@ func TestDNATSkipsAlreadyTargeted(t *testing.T) {
 	n := NewNAT()
 	n.AddDNAT(DNATRule{Name: "x", Match: MatchUDPPort53, To: ap("10.0.0.1:53")})
 	q := Packet{Proto: UDP, Src: ap("192.168.1.2:40000"), Dst: ap("10.0.0.1:53")}
-	if _, rewritten, _ := n.applyDNAT(q); rewritten {
+	p, replica := q, Packet{}
+	if rewritten, _ := n.applyDNAT(&p, &replica); rewritten {
 		t.Error("rewrote a packet already addressed to the target")
+	}
+	if !reflect.DeepEqual(p, q) {
+		t.Errorf("packet changed: %v", p)
 	}
 }
 
@@ -114,14 +132,13 @@ func TestDNATFirstRuleWins(t *testing.T) {
 	n := NewNAT()
 	n.AddDNAT(DNATRule{Name: "a", Match: MatchUDP53To(addr("8.8.8.8")), To: ap("10.0.0.1:53")})
 	n.AddDNAT(DNATRule{Name: "b", Match: MatchUDPPort53, To: ap("10.0.0.2:53")})
-	q := Packet{Proto: UDP, Src: ap("192.168.1.2:40000"), Dst: ap("8.8.8.8:53")}
-	r, ok, _ := n.applyDNAT(q)
-	if !ok || r.Dst != ap("10.0.0.1:53") {
+	var replica Packet
+	r := Packet{Proto: UDP, Src: ap("192.168.1.2:40000"), Dst: ap("8.8.8.8:53")}
+	if ok, _ := n.applyDNAT(&r, &replica); !ok || r.Dst != ap("10.0.0.1:53") {
 		t.Errorf("first rule did not win: %v", r)
 	}
-	q2 := Packet{Proto: UDP, Src: ap("192.168.1.2:40001"), Dst: ap("1.1.1.1:53")}
-	r2, ok, _ := n.applyDNAT(q2)
-	if !ok || r2.Dst != ap("10.0.0.2:53") {
+	r2 := Packet{Proto: UDP, Src: ap("192.168.1.2:40001"), Dst: ap("1.1.1.1:53")}
+	if ok, _ := n.applyDNAT(&r2, &replica); !ok || r2.Dst != ap("10.0.0.2:53") {
 		t.Errorf("fallthrough rule did not fire: %v", r2)
 	}
 }

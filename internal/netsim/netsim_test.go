@@ -207,11 +207,108 @@ func TestQueryReplicationDeliversTwoResponses(t *testing.T) {
 	}
 }
 
+// TestReplicatedDNATCopiesKeepTheirAddresses: under a Replicate rule
+// the router rewrites the packet in place and routes a replica of the
+// original, so each service must see its own copy — the diverted one
+// readdressed with the client's original destination in OrigDst, the
+// replica untouched.
+func TestReplicatedDNATCopiesKeepTheirAddresses(t *testing.T) {
+	w := buildTestWorld(t)
+	var seen []Packet
+	record := func(tag string) Service {
+		return ServiceFunc(func(sc *ServiceCtx, pkt Packet) {
+			seen = append(seen, pkt)
+			sc.Reply(pkt, []byte(tag))
+		})
+	}
+	w.resolver.Bind(53, record("google"))
+	ispResolver := NewRouter("isp-resolver", addr("96.121.0.53"))
+	ispResolver.Bind(53, record("isp"))
+	ispResolver.AddDefaultRoute(w.border)
+	w.border.AddRoute(pfx("96.121.0.0/24"), ispResolver)
+	w.access.AddRoute(pfx("96.121.0.0/24"), w.border)
+	w.access.NAT = NewNAT()
+	w.access.NAT.AddDNAT(DNATRule{Name: "replicating-middlebox", Match: MatchUDPPort53, To: ap("96.121.0.53:53"), Replicate: true})
+
+	resps, err := w.host.Exchange(w.net, ap("8.8.8.8:53"), []byte("q"), ExchangeOptions{})
+	if err != nil || len(resps) != 2 {
+		t.Fatalf("got %d responses (err %v), want 2", len(resps), err)
+	}
+	if len(seen) != 2 {
+		t.Fatalf("services saw %d queries, want 2", len(seen))
+	}
+	byDst := map[netip.AddrPort]Packet{}
+	for _, p := range seen {
+		byDst[p.Dst] = p
+	}
+	diverted, ok := byDst[ap("96.121.0.53:53")]
+	if !ok || diverted.OrigDst != ap("8.8.8.8:53") {
+		t.Errorf("diverted copy: present=%t OrigDst=%s, want OrigDst 8.8.8.8:53", ok, diverted.OrigDst)
+	}
+	replica, ok := byDst[ap("8.8.8.8:53")]
+	if !ok || replica.OrigDst.IsValid() {
+		t.Errorf("replica: present=%t OrigDst=%s, want no OrigDst", ok, replica.OrigDst)
+	}
+	if diverted.Src != replica.Src || string(diverted.Payload) != string(replica.Payload) {
+		t.Errorf("copies diverge beyond the rewrite: src %s/%s payload %q/%q",
+			diverted.Src, replica.Src, diverted.Payload, replica.Payload)
+	}
+	for _, r := range resps {
+		if r.Src != ap("8.8.8.8:53") {
+			t.Errorf("response source = %s, want 8.8.8.8:53", r.Src)
+		}
+	}
+}
+
+// TestLocallyBuiltPacketsDoNotAllocate: packets a device builds during a
+// receive — ServiceCtx.Send's packet and a DNAT replica — reach route
+// filters and match callbacks by pointer, so they live in the network's
+// spare slots rather than escaping to the heap on every send.
+func TestLocallyBuiltPacketsDoNotAllocate(t *testing.T) {
+	n := NewNetwork()
+	sink := namedDev("sink")
+	filter := func(pkt *Packet) (bool, string) { return pkt.TTL == 0, "ttl zero" }
+
+	svc := NewRouter("svc", addr("192.0.2.1"))
+	svc.AddDefaultRouteFiltered(sink, filter)
+	svc.Bind(53, ServiceFunc(func(sc *ServiceCtx, pkt Packet) {
+		sc.Send(Packet{Src: pkt.Dst, Dst: pkt.Src, Proto: UDP, TTL: DefaultTTL, Payload: pkt.Payload})
+	}))
+	query := Packet{Src: ap("198.51.100.7:50000"), Dst: ap("192.0.2.1:53"), Proto: UDP, TTL: DefaultTTL, Payload: []byte("q")}
+
+	mb := NewRouter("mb")
+	mb.AddDefaultRouteFiltered(sink, filter)
+	mb.NAT = NewNAT()
+	mb.NAT.AddDNAT(DNATRule{Name: "r", Match: MatchUDPPort53, To: ap("203.0.113.53:53"), Replicate: true})
+	diverted := Packet{Src: ap("198.51.100.7:50000"), Dst: ap("8.8.8.8:53"), Proto: UDP, TTL: DefaultTTL, Payload: []byte("q")}
+
+	for _, c := range []struct {
+		name string
+		dev  Device
+		pkt  Packet
+	}{{"ServiceCtx.Send", svc, query}, {"DNAT replica", mb, diverted}} {
+		run := func() {
+			n.Inject(c.dev, c.pkt)
+			if _, err := n.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm the spare slots and every calendar bucket: the clock moves
+		// about one bucket per delivery, around the 256-bucket ring.
+		for i := 0; i < 1000; i++ {
+			run()
+		}
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per delivery, want 0", c.name, allocs)
+		}
+	}
+}
+
 func TestBogonEgressFilterDrops(t *testing.T) {
 	w := buildTestWorld(t)
 	filtered := 0
 	// Re-adding the default route replaces the unfiltered one.
-	w.border.AddDefaultRouteFiltered(w.transit, func(pkt Packet) (bool, string) {
+	w.border.AddDefaultRouteFiltered(w.transit, func(pkt *Packet) (bool, string) {
 		if pkt.Dst.Addr() == addr("192.0.2.53") {
 			filtered++
 			return true, "bogon egress"
@@ -350,18 +447,18 @@ func TestExchangeDistinctSourcePorts(t *testing.T) {
 
 func TestNATMatchHelpers(t *testing.T) {
 	q := Packet{Proto: UDP, Dst: ap("8.8.8.8:53")}
-	if !MatchUDPPort53(q) {
+	if !MatchUDPPort53(&q) {
 		t.Error("MatchUDPPort53 missed")
 	}
-	if MatchUDPPort53(Packet{Proto: UDP, Dst: ap("8.8.8.8:443")}) {
+	if MatchUDPPort53(&Packet{Proto: UDP, Dst: ap("8.8.8.8:443")}) {
 		t.Error("MatchUDPPort53 matched port 443")
 	}
 	only := MatchUDP53To(addr("8.8.8.8"))
-	if !only(q) || only(Packet{Proto: UDP, Dst: ap("1.1.1.1:53")}) {
+	if !only(&q) || only(&Packet{Proto: UDP, Dst: ap("1.1.1.1:53")}) {
 		t.Error("MatchUDP53To misbehaves")
 	}
 	except := MatchUDP53Except(addr("9.9.9.9"))
-	if !except(q) || except(Packet{Proto: UDP, Dst: ap("9.9.9.9:53")}) {
+	if !except(&q) || except(&Packet{Proto: UDP, Dst: ap("9.9.9.9:53")}) {
 		t.Error("MatchUDP53Except misbehaves")
 	}
 }

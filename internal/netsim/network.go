@@ -16,8 +16,10 @@ type Device interface {
 	// DeviceName identifies the device in traces.
 	DeviceName() string
 	// Receive handles one inbound packet. Implementations use ctx to
-	// forward, deliver, or drop.
-	Receive(ctx *Ctx, pkt Packet)
+	// forward, deliver, or drop. pkt points at the event loop's own copy
+	// and is valid only for the duration of the call: a device may
+	// rewrite it in place and hand it to ctx, but must copy it to keep it.
+	Receive(ctx *Ctx, pkt *Packet)
 }
 
 // EgressDelayer lets a device declare the one-way delay of its uplinks.
@@ -34,6 +36,9 @@ type EgressDelayer interface {
 type Ctx struct {
 	net *Network
 	dev Device
+	// svc is the ServiceCtx handed to a local service; deliveries never
+	// nest, so one per drain suffices (see Router.deliverLocal).
+	svc ServiceCtx
 }
 
 // Now returns the virtual time of the event being processed.
@@ -43,8 +48,9 @@ func (c *Ctx) Now() time.Duration { return c.net.now }
 // delay. The TTL is decremented here — every inter-device handoff is a
 // routed hop. Packets whose TTL reaches zero are dropped; when
 // EmitTimeExceeded is enabled, identified routers announce the expiry
-// with ICMP, enabling traceroute.
-func (c *Ctx) Forward(next Device, pkt Packet) {
+// with ICMP, enabling traceroute. The TTL and any fault rewrite apply to
+// *pkt in place; the event queue keeps its own copy.
+func (c *Ctx) Forward(next Device, pkt *Packet) {
 	if next == nil {
 		c.Drop(pkt, "no route")
 		return
@@ -59,7 +65,7 @@ func (c *Ctx) Forward(next Device, pkt Packet) {
 		// ICMP-about-ICMP cascades).
 		if c.net.EmitTimeExceeded && pkt.Proto != ICMP {
 			if r, ok := c.dev.(*Router); ok {
-				r.sendTimeExceeded(c, pkt)
+				r.sendTimeExceeded(c, pkt.Src, pkt.Dst, pkt.SentAt)
 			}
 		}
 		return
@@ -74,7 +80,7 @@ func (c *Ctx) Forward(next Device, pkt Packet) {
 	at := c.net.now + c.net.delayFrom(c.dev)
 	if pkt.Proto == UDP && c.net.faults != nil {
 		var ok bool
-		if pkt, at, ok = c.net.applyFaults(c.dev, next, pkt, at); !ok {
+		if at, ok = c.net.applyFaults(c.dev, next, pkt, at); !ok {
 			return
 		}
 	}
@@ -89,7 +95,7 @@ func (c *Ctx) Forward(next Device, pkt Packet) {
 
 // Emit originates a packet at this device without a TTL decrement —
 // the device is the packet's first hop, as when a local service answers.
-func (c *Ctx) Emit(next Device, pkt Packet) {
+func (c *Ctx) Emit(next Device, pkt *Packet) {
 	if next == nil {
 		c.Drop(pkt, "no route for emitted packet")
 		return
@@ -102,17 +108,17 @@ func (c *Ctx) Emit(next Device, pkt Packet) {
 
 // Loopback re-enqueues a packet at this same device, used after a DNAT
 // rewrite makes the device itself the destination.
-func (c *Ctx) Loopback(pkt Packet) {
+func (c *Ctx) Loopback(pkt *Packet) {
 	c.net.enqueue(c.dev, pkt, c.net.now)
 }
 
 // Drop discards the packet, recording why.
-func (c *Ctx) Drop(pkt Packet, why string) {
+func (c *Ctx) Drop(pkt *Packet, why string) {
 	c.net.trace(c.dev, TraceDrop, pkt, why)
 }
 
 // Trace records a custom event (NAT rewrites etc.).
-func (c *Ctx) Trace(kind TraceKind, pkt Packet, note string) {
+func (c *Ctx) Trace(kind TraceKind, pkt *Packet, note string) {
 	c.net.trace(c.dev, kind, pkt, note)
 }
 
@@ -131,6 +137,7 @@ type event struct {
 type Network struct {
 	queue    calQueue
 	batch    []event // reused popBatch buffer
+	ctx      Ctx     // Run's device context (Run is not reentrant)
 	seq      int     // trace sequence
 	eventSeq int     // event tiebreak sequence
 	now      time.Duration
@@ -158,6 +165,15 @@ type Network struct {
 	// metrics is the observability plane (see metrics.go); nil when
 	// disabled, which reduces every instrumentation site to one branch.
 	metrics *netMetrics
+
+	// spares are packet slots for packets a device builds mid-receive
+	// (ServiceCtx.Send, DNAT replicas, ICMP notifications). Those reach
+	// route filters and match callbacks through a *Packet, so a stack
+	// copy would escape to the heap on every send; a slot owned by the
+	// network does not. Slots are taken and released in strict LIFO
+	// order (see takeSpare), and spares[:spareTop] are in use.
+	spares   []*Packet
+	spareTop int
 
 	// payloadFree recycles datagram payload buffers between exchanges.
 	// The simulator is single-threaded, so a plain stack suffices. The
@@ -255,22 +271,44 @@ func (n *Network) Tap(fn func(TraceEvent)) {
 // on untapped runs.
 func (n *Network) tracing() bool { return len(n.taps) > 0 }
 
-// trace dispatches one event to the taps.
-func (n *Network) trace(dev Device, kind TraceKind, pkt Packet, note string) {
+// trace dispatches one event to the taps. The packet is copied into
+// the event only when a tap is installed.
+func (n *Network) trace(dev Device, kind TraceKind, pkt *Packet, note string) {
 	if len(n.taps) == 0 {
 		return
 	}
 	n.seq++
-	ev := TraceEvent{Seq: n.seq, At: n.now, Device: dev.DeviceName(), Kind: kind, Packet: pkt, Note: note}
+	ev := TraceEvent{Seq: n.seq, At: n.now, Device: dev.DeviceName(), Kind: kind, Packet: *pkt, Note: note}
 	for _, t := range n.taps {
 		t(ev)
 	}
 }
 
-// enqueue schedules a delivery.
-func (n *Network) enqueue(dev Device, pkt Packet, at time.Duration) {
+// enqueue schedules a delivery. The event takes the packet's one copy
+// per hop; the caller keeps ownership of *pkt.
+func (n *Network) enqueue(dev Device, pkt *Packet, at time.Duration) {
 	n.eventSeq++
-	n.queue.push(event{at: at, seq: n.eventSeq, dev: dev, pkt: pkt})
+	n.queue.push(event{at: at, seq: n.eventSeq, dev: dev, pkt: *pkt})
+}
+
+// takeSpare returns a packet slot for a packet built during a receive.
+// Every takeSpare is paired with a releaseSpare of the same slot before
+// the taking function returns, so nested takes (a replica whose route
+// expires and triggers an ICMP notification) unwind in LIFO order.
+func (n *Network) takeSpare() *Packet {
+	if n.spareTop == len(n.spares) {
+		n.spares = append(n.spares, new(Packet))
+	}
+	p := n.spares[n.spareTop]
+	n.spareTop++
+	return p
+}
+
+// releaseSpare returns the most recently taken slot, clearing it so the
+// slot never pins a payload buffer.
+func (n *Network) releaseSpare(p *Packet) {
+	n.spareTop--
+	*p = Packet{}
 }
 
 // Inject introduces a packet at a device from outside (e.g. a host
@@ -279,7 +317,7 @@ func (n *Network) Inject(dev Device, pkt Packet) {
 	if pkt.SentAt == 0 {
 		pkt.SentAt = n.now
 	}
-	n.enqueue(dev, pkt, n.now)
+	n.enqueue(dev, &pkt, n.now)
 }
 
 // ErrEventBudget is returned by Run when the event budget is exhausted,
@@ -295,12 +333,22 @@ var ErrEventBudget = errors.New("netsim: event budget exhausted (forwarding loop
 // timestamp (Loopback); those carry higher seqs than the whole batch,
 // so processing them in the next batch preserves the (at, seq) total
 // order.
+//
+// Run is not reentrant: no device or service may call it.
 func (n *Network) Run() (int, error) {
 	processed := 0
-	// One Ctx serves the whole drain: devices only use it synchronously
+	// One Ctx serves every drain: devices only use it synchronously
 	// inside Receive, so re-pointing dev per event is safe and saves an
-	// allocation per delivery.
-	ctx := Ctx{net: n}
+	// allocation per delivery. Receive gets a pointer into the batch
+	// slot, which stays put until the slot is cleared below.
+	ctx := &n.ctx
+	ctx.net = n
+	defer func() {
+		*ctx = Ctx{} // pin no device between drains
+		// No slot is in use between drains; a receive that panicked
+		// (callers may contain it) must not leave one taken.
+		n.spareTop = 0
+	}()
 	for n.queue.Len() > 0 {
 		n.batch = n.queue.popBatch(n.batch[:0])
 		if at := n.batch[0].at; at > n.now {
@@ -313,8 +361,8 @@ func (n *Network) Run() (int, error) {
 			processed++
 			ev := &n.batch[i]
 			ctx.dev = ev.dev
-			n.trace(ev.dev, TraceRecv, ev.pkt, "")
-			ev.dev.Receive(&ctx, ev.pkt)
+			n.trace(ev.dev, TraceRecv, &ev.pkt, "")
+			ev.dev.Receive(ctx, &ev.pkt)
 			// Release the Device and Payload references so the reused
 			// batch buffer never pins a processed packet's storage.
 			*ev = event{}

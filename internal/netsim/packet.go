@@ -99,8 +99,9 @@ func (p Packet) Clone() Packet {
 }
 
 // IsIPv6 reports whether the packet travels over IPv6, judged by its
-// destination address family.
-func (p Packet) IsIPv6() bool { return p.Dst.Addr().Is6() && !p.Dst.Addr().Is4In6() }
+// destination address family. The pointer receiver keeps the hot NAT
+// and match callbacks from copying the packet.
+func (p *Packet) IsIPv6() bool { return p.Dst.Addr().Is6() && !p.Dst.Addr().Is4In6() }
 
 // String renders the packet for traces: "udp 10.0.0.2:5000 > 8.8.8.8:53 ttl=64 len=29".
 func (p Packet) String() string {

@@ -20,6 +20,7 @@ type ServiceFunc func(sc *ServiceCtx, pkt Packet)
 func (f ServiceFunc) ServeUDP(sc *ServiceCtx, pkt Packet) { f(sc, pkt) }
 
 // ServiceCtx lets a service send packets that originate at its router.
+// It is valid only during the ServeUDP call that received it.
 type ServiceCtx struct {
 	Router *Router
 	ctx    *Ctx
@@ -40,17 +41,17 @@ func (sc *ServiceCtx) PayloadBuf() []byte { return sc.ctx.net.PayloadBuf() }
 // the spoofed (original-destination) source address, then the packet is
 // routed normally.
 func (sc *ServiceCtx) Send(pkt Packet) {
-	r := sc.Router
-	if pkt.SentAt == 0 {
-		pkt.SentAt = sc.ctx.Now()
+	r, n := sc.Router, sc.ctx.net
+	p := n.takeSpare()
+	*p = pkt
+	if p.SentAt == 0 {
+		p.SentAt = sc.ctx.Now()
 	}
-	if r.NAT != nil {
-		if rewritten, ok := r.NAT.reverseDNAT(pkt); ok {
-			sc.ctx.Trace(TraceUnDNAT, rewritten, "spoofing source for intercepted flow")
-			pkt = rewritten
-		}
+	if r.NAT != nil && r.NAT.reverseDNAT(p) {
+		sc.ctx.Trace(TraceUnDNAT, p, "spoofing source for intercepted flow")
 	}
-	r.routePacket(sc.ctx, pkt, true)
+	r.routePacket(sc.ctx, p, true)
+	n.releaseSpare(p)
 }
 
 // Reply builds and sends the conventional response to an inbound
@@ -75,8 +76,9 @@ type Route struct {
 	Next   Device
 	// Filter, if set, can veto forwarding via this route; the packet is
 	// dropped with the returned reason. Border routers use it to discard
-	// bogon-addressed packets at the AS edge.
-	Filter func(Packet) (drop bool, why string)
+	// bogon-addressed packets at the AS edge. The packet is read-only
+	// and must not be retained past the call.
+	Filter func(*Packet) (drop bool, why string)
 }
 
 // Router is the general middle-of-network device: CPE, ISP access and
@@ -126,7 +128,7 @@ type Router struct {
 	// processing — the INPUT/FORWARD drop rules of an iptables firewall.
 	// A middlebox that blocks encrypted DNS to force a downgrade (the
 	// XDRI "block" behavior) installs one matching TCP 853/443.
-	inputFilters []func(Packet) (drop bool, why string)
+	inputFilters []func(*Packet) (drop bool, why string)
 
 	// core, when set, shares this router's forwarding table across
 	// worlds (see routingcore.go). The recorder keeps local tables and
@@ -244,7 +246,8 @@ func (r *Router) BoundService(addr netip.Addr, port uint16) (Service, bool) {
 // AddInputFilter installs a drop rule evaluated on every packet this
 // router receives, before conntrack and DNAT. Dropped packets vanish;
 // the sender observes a timeout, as with a real silent firewall DROP.
-func (r *Router) AddInputFilter(f func(Packet) (drop bool, why string)) {
+// The rule reads the packet and must not retain it.
+func (r *Router) AddInputFilter(f func(*Packet) (drop bool, why string)) {
 	r.inputFilters = append(r.inputFilters, f)
 }
 
@@ -254,7 +257,7 @@ func (r *Router) AddRoute(prefix netip.Prefix, next Device) {
 }
 
 // AddRouteFiltered appends a forwarding entry with an egress filter.
-func (r *Router) AddRouteFiltered(prefix netip.Prefix, next Device, filter func(Packet) (bool, string)) {
+func (r *Router) AddRouteFiltered(prefix netip.Prefix, next Device, filter func(*Packet) (bool, string)) {
 	r.insertRoute(&Route{Prefix: prefix, Next: next, Filter: filter})
 }
 
@@ -336,7 +339,7 @@ func (r *Router) AddDefaultRoute(next Device) {
 
 // AddDefaultRouteFiltered installs filtered default routes for both
 // families.
-func (r *Router) AddDefaultRouteFiltered(next Device, filter func(Packet) (bool, string)) {
+func (r *Router) AddDefaultRouteFiltered(next Device, filter func(*Packet) (bool, string)) {
 	r.AddRouteFiltered(netip.MustParsePrefix("0.0.0.0/0"), next, filter)
 	r.AddRouteFiltered(netip.MustParsePrefix("::/0"), next, filter)
 }
@@ -428,8 +431,9 @@ func sortedLengthsDesc(table map[int]map[netip.Prefix]*Route) []int {
 	return out
 }
 
-// Receive implements Device: the netfilter-ordered pipeline.
-func (r *Router) Receive(ctx *Ctx, pkt Packet) {
+// Receive implements Device: the netfilter-ordered pipeline. NAT
+// rewrites *pkt in place.
+func (r *Router) Receive(ctx *Ctx, pkt *Packet) {
 	// Firewall drop rules run first: a blocked packet never reaches
 	// conntrack or NAT.
 	for _, f := range r.inputFilters {
@@ -444,22 +448,18 @@ func (r *Router) Receive(ctx *Ctx, pkt Packet) {
 	// masqueraded flows are re-addressed to the original LAN host.
 	if r.NAT != nil {
 		if pkt.Proto == ICMP {
-			if p, ok := r.NAT.reverseDNATICMP(pkt); ok {
-				ctx.Trace(TraceUnDNAT, p, "restoring original destination (icmp)")
-				pkt = p
+			if r.NAT.reverseDNATICMP(pkt) {
+				ctx.Trace(TraceUnDNAT, pkt, "restoring original destination (icmp)")
 			}
-			if p, ok := r.NAT.reverseSNATICMP(pkt); ok {
-				ctx.Trace(TraceUnSNAT, p, "restoring LAN destination (icmp)")
-				pkt = p
+			if r.NAT.reverseSNATICMP(pkt) {
+				ctx.Trace(TraceUnSNAT, pkt, "restoring LAN destination (icmp)")
 			}
 		}
-		if p, ok := r.NAT.reverseDNAT(pkt); ok {
-			ctx.Trace(TraceUnDNAT, p, "spoofing source for intercepted flow")
-			pkt = p
+		if r.NAT.reverseDNAT(pkt) {
+			ctx.Trace(TraceUnDNAT, pkt, "spoofing source for intercepted flow")
 		}
-		if p, ok := r.NAT.reverseSNAT(pkt); ok {
-			ctx.Trace(TraceUnSNAT, p, "restoring LAN destination")
-			pkt = p
+		if r.NAT.reverseSNAT(pkt) {
+			ctx.Trace(TraceUnSNAT, pkt, "restoring LAN destination")
 		}
 	}
 
@@ -469,18 +469,20 @@ func (r *Router) Receive(ctx *Ctx, pkt Packet) {
 	// an intercepting CPE answers a version.bind query sent to its own
 	// public address (§3.2 of the paper).
 	if r.NAT != nil {
-		p, rewritten, replicate := r.NAT.applyDNAT(pkt)
+		replica := ctx.net.takeSpare()
+		dst := pkt.Dst
+		rewritten, replicate := r.NAT.applyDNAT(pkt, replica)
 		if rewritten {
 			ctx.net.observeNAT(r.NAT)
 			if ctx.net.tracing() {
-				ctx.Trace(TraceDNAT, p, "intercepted: "+pkt.Dst.String()+" -> "+p.Dst.String())
+				ctx.Trace(TraceDNAT, pkt, "intercepted: "+dst.String()+" -> "+pkt.Dst.String())
 			}
 			if replicate {
 				// The original also continues: query replication.
-				r.routePacket(ctx, pkt, false)
+				r.routePacket(ctx, replica, false)
 			}
-			pkt = p
 		}
+		ctx.net.releaseSpare(replica)
 	}
 
 	// Routing decision: local delivery?
@@ -491,24 +493,29 @@ func (r *Router) Receive(ctx *Ctx, pkt Packet) {
 	r.routePacket(ctx, pkt, false)
 }
 
-// deliverLocal hands the packet to the bound service, if any.
-func (r *Router) deliverLocal(ctx *Ctx, pkt Packet) {
+// deliverLocal hands the service its own copy of the packet. The
+// ServiceCtx lives in ctx: a service only sends (enqueues), so no
+// delivery starts while another is being served.
+func (r *Router) deliverLocal(ctx *Ctx, pkt *Packet) {
 	s, ok := r.BoundService(pkt.Dst.Addr(), pkt.Dst.Port())
 	if !ok {
 		ctx.Drop(pkt, "port closed")
 		return
 	}
 	ctx.Trace(TraceDeliver, pkt, "local service")
-	s.ServeUDP(&ServiceCtx{Router: r, ctx: ctx}, pkt)
+	ctx.svc = ServiceCtx{Router: r, ctx: ctx}
+	s.ServeUDP(&ctx.svc, *pkt)
 }
 
 // routePacket forwards via the table, applying POSTROUTING SNAT.
 // locallyOriginated packets skip route filters' TTL handling edge cases
 // but otherwise follow the same path.
-func (r *Router) routePacket(ctx *Ctx, pkt Packet, locallyOriginated bool) {
+func (r *Router) routePacket(ctx *Ctx, pkt *Packet, locallyOriginated bool) {
 	rt := r.lookupRouteM(pkt.Dst.Addr(), ctx.net.metrics)
 	if rt == nil || rt.Next == nil {
-		ctx.Drop(pkt, "no route to "+pkt.Dst.Addr().String())
+		if ctx.net.tracing() {
+			ctx.Drop(pkt, "no route to "+pkt.Dst.Addr().String())
+		}
 		return
 	}
 	if rt.Filter != nil {
@@ -520,32 +527,34 @@ func (r *Router) routePacket(ctx *Ctx, pkt Packet, locallyOriginated bool) {
 	// TTL expiry is decided before POSTROUTING so the ICMP notification
 	// references the original (pre-SNAT) source.
 	if !locallyOriginated && pkt.TTL <= 1 {
-		expired := pkt
-		expired.TTL = 0
-		ctx.Trace(TraceDrop, expired, "ttl exceeded")
+		if ctx.net.tracing() {
+			expired := *pkt
+			expired.TTL = 0
+			ctx.Trace(TraceDrop, &expired, "ttl exceeded")
+		}
 		if ctx.net.EmitTimeExceeded && pkt.Proto != ICMP {
 			// If this very device DNATed the flow, report the client's
 			// original destination in the ICMP (conntrack fixup).
-			icmpRef := pkt
+			src, dst := pkt.Src, pkt.Dst
 			if r.NAT != nil {
-				key := ctKey{client: pkt.Src, target: pkt.Dst}
+				key := ctKey{client: src, target: dst}
 				if orig, ok := r.NAT.dnatCT[key]; ok {
 					delete(r.NAT.dnatCT, key)
-					icmpRef.Dst = orig
+					dst = orig
 				}
 			}
-			r.sendTimeExceeded(ctx, icmpRef)
+			r.sendTimeExceeded(ctx, src, dst, pkt.SentAt)
 		}
 		return
 	}
 	// POSTROUTING: masquerade LAN sources on the way out.
 	if r.NAT != nil && !locallyOriginated {
-		if p, ok := r.NAT.applySNAT(pkt); ok {
+		src := pkt.Src
+		if r.NAT.applySNAT(pkt) {
 			ctx.net.observeNAT(r.NAT)
 			if ctx.net.tracing() {
-				ctx.Trace(TraceSNAT, p, "masqueraded "+pkt.Src.String()+" -> "+p.Src.String())
+				ctx.Trace(TraceSNAT, pkt, "masqueraded "+src.String()+" -> "+pkt.Src.String())
 			}
-			pkt = p
 		}
 	}
 	if locallyOriginated {

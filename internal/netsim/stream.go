@@ -3,7 +3,6 @@ package netsim
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 )
 
@@ -89,14 +88,7 @@ type StreamCert struct {
 // endpoint's salt, so the server validates tickets by recomputation —
 // no mutable session table, no cross-probe ordering effects.
 func StreamTicket(endpoint, client netip.Addr, salt int64) uint64 {
-	h := fnv.New64a()
-	e, c := endpoint.As16(), client.As16()
-	h.Write(e[:])
-	h.Write(c[:])
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(salt))
-	h.Write(b[:])
-	return h.Sum64()
+	return uint64(newFNV64a().addAddr(endpoint).addAddr(client).addUint64(uint64(salt)))
 }
 
 // PackStreamHello encodes a session-establishment request.

@@ -30,13 +30,48 @@ func renderAll(res *study.Results) string {
 func respondedTotals(res *study.Results) map[study.ExpKey]int {
 	out := make(map[study.ExpKey]int)
 	for _, rec := range res.Records {
-		for k, ok := range rec.Responded {
-			if ok {
-				out[k]++
+		for _, id := range publicdns.All {
+			for _, f := range []core.Family{core.V4, core.V6} {
+				if k := (study.ExpKey{Resolver: id, Family: f}); rec.Responded.Get(k) {
+					out[k]++
+				}
 			}
 		}
 	}
 	return out
+}
+
+// TestExpSetSlots: the eight location experiments occupy distinct
+// ExpSet slots, and keys outside them are never members.
+func TestExpSetSlots(t *testing.T) {
+	var keys []study.ExpKey
+	for _, id := range publicdns.All {
+		for _, f := range []core.Family{core.V4, core.V6} {
+			keys = append(keys, study.ExpKey{Resolver: id, Family: f})
+		}
+	}
+	var s study.ExpSet
+	for i, k := range keys {
+		s.Set(k)
+		for j, o := range keys {
+			if s.Get(o) != (j <= i) {
+				t.Fatalf("after setting %d keys: Get(%v) = %v", i+1, o, s.Get(o))
+			}
+		}
+	}
+	for _, k := range []study.ExpKey{{Resolver: "nonesuch", Family: core.V4}, {Resolver: publicdns.Google, Family: "IPvX"}} {
+		if s.Get(k) {
+			t.Errorf("Get(%v) = true for a key outside the experiments", k)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Set(%v) did not panic", k)
+				}
+			}()
+			s.Set(k)
+		}()
+	}
 }
 
 // TestParallelBuildMatchesSerial pins the parallel world build: a
@@ -194,9 +229,9 @@ func TestShardedVerdictsMatchSerial(t *testing.T) {
 		for _, f := range []core.Family{core.V4, core.V6} {
 			for _, id := range publicdns.All {
 				k := study.ExpKey{Resolver: id, Family: f}
-				if a.Responded[k] != b.Responded[k] {
+				if a.Responded.Get(k) != b.Responded.Get(k) {
 					t.Errorf("probe %d: responded[%s/%v] %v vs %v",
-						a.Probe.ID, id, f, a.Responded[k], b.Responded[k])
+						a.Probe.ID, id, f, a.Responded.Get(k), b.Responded.Get(k))
 				}
 			}
 		}

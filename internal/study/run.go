@@ -19,6 +19,43 @@ type ExpKey struct {
 	Family   core.Family
 }
 
+// ExpSet is a set of the eight location experiments, one slot per
+// (operator, family): publicdns.All order, IPv4 then IPv6. A fixed
+// array, so recording a probe's availability allocates nothing.
+type ExpSet [8]bool
+
+// expSlot returns k's slot, or -1 for a key outside the eight
+// experiments.
+func expSlot(k ExpKey) int {
+	for i, id := range publicdns.All {
+		if id != k.Resolver {
+			continue
+		}
+		switch k.Family {
+		case core.V4:
+			return 2 * i
+		case core.V6:
+			return 2*i + 1
+		}
+	}
+	return -1
+}
+
+// Get reports whether k is in the set.
+func (s ExpSet) Get(k ExpKey) bool {
+	i := expSlot(k)
+	return i >= 0 && s[i]
+}
+
+// Set adds k to the set. k must be one of the eight experiments.
+func (s *ExpSet) Set(k ExpKey) {
+	i := expSlot(k)
+	if i < 0 {
+		panic(fmt.Sprintf("study: %v is not a location experiment", k))
+	}
+	s[i] = true
+}
+
 // ProbeRecord is one probe's contribution to the study.
 type ProbeRecord struct {
 	Probe *atlas.Probe
@@ -28,7 +65,7 @@ type ProbeRecord struct {
 	// Responded marks which location experiments the probe was online
 	// for; experiments it missed do not count it in that experiment's
 	// totals.
-	Responded map[ExpKey]bool
+	Responded ExpSet
 	// Net is the event loop the probe's host is wired into. In a sharded
 	// run each record points at its own shard's network; follow-up
 	// measurements (the TTL extension) must use it rather than a global
@@ -47,7 +84,7 @@ func (pr *ProbeRecord) RespondedAll4(f core.Family) bool {
 		return false
 	}
 	for _, id := range publicdns.All {
-		if !pr.Responded[ExpKey{id, f}] {
+		if !pr.Responded.Get(ExpKey{id, f}) {
 			return false
 		}
 	}
@@ -169,7 +206,7 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 			continue // checkpointed prefix: already folded and counted
 		}
 		produced++
-		rec := &ProbeRecord{Probe: probe, Responded: make(map[ExpKey]bool), Net: w.Net}
+		rec := &ProbeRecord{Probe: probe, Net: w.Net}
 		sm.noteRecord()
 		if probe.Availability == atlas.Dead {
 			sm.noteUnresponsive()
@@ -184,13 +221,13 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 		j := 0
 		for _, id := range publicdns.All {
 			if draws[j] {
-				rec.Responded[ExpKey{id, core.V4}] = true
+				rec.Responded.Set(ExpKey{id, core.V4})
 				online = true
 			}
 			j++
 			if probe.HasIPv6 {
 				if draws[j] {
-					rec.Responded[ExpKey{id, core.V6}] = true
+					rec.Responded.Set(ExpKey{id, core.V6})
 					online = true
 				}
 				j++

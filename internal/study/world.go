@@ -179,7 +179,7 @@ func (w *World) buildTransitInterceptors() {
 		seatSet := w.transitSeatPatterns[region]
 		regional.NAT.AddDNAT(netsim.DNATRule{
 			Name: fmt.Sprintf("transit-interceptor-%s", region),
-			Match: func(pkt netsim.Packet) bool {
+			Match: func(pkt *netsim.Packet) bool {
 				if pkt.Proto != netsim.UDP || pkt.Dst.Port() != 53 || pkt.IsIPv6() {
 					return false
 				}
@@ -199,7 +199,7 @@ func (w *World) buildTransitInterceptors() {
 		// seats applies the spec's policy to DoT/DoH flows too. Matching
 		// is per-seat-pattern, like the Do53 DNAT above.
 		if e := w.Spec.Encryption; e != nil {
-			matchEnc := func(pkt netsim.Packet) bool {
+			matchEnc := func(pkt *netsim.Packet) bool {
 				if pkt.Proto != netsim.TCP || pkt.IsIPv6() {
 					return false
 				}
@@ -217,7 +217,7 @@ func (w *World) buildTransitInterceptors() {
 			}
 			switch e.Policy {
 			case dnsserver.EncBlock:
-				regional.AddInputFilter(func(pkt netsim.Packet) (bool, string) {
+				regional.AddInputFilter(func(pkt *netsim.Packet) (bool, string) {
 					if matchEnc(pkt) {
 						return true, "transit interceptor blocks encrypted DNS"
 					}
